@@ -26,8 +26,8 @@
 //! | `host_speed` | host wall-clock: dense vs event-driven clock advancement |
 //! | `perf_report` | top-down attribution trees / roofline / CSV over any sweep report, plus `diff` |
 //!
-//! Sweep binaries fan their config points out over host threads
-//! ([`parallel_sweep`]) and serialize machine-readable results to
+//! Sweep binaries run their config points on a pool of host worker
+//! threads ([`parallel_sweep`]) and serialize machine-readable results to
 //! `target/reports/*.json` ([`json::write_report`]) alongside their text
 //! tables, so the perf trajectory can be tracked across PRs.
 

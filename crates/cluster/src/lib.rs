@@ -365,6 +365,7 @@ pub struct Cluster {
     prefetch_hints: Vec<PrefetchHint>,
     // Scratch reused across cycles to keep the hot loop allocation-free.
     requests: Vec<Request>,
+    grants: Vec<bool>,
     active: Vec<usize>,
     ranges: Vec<(usize, usize, usize)>,
     tracer: Tracer,
@@ -418,6 +419,7 @@ impl Cluster {
             dma: None,
             prefetch_hints: Vec::new(),
             requests: Vec::new(),
+            grants: Vec::new(),
             active: Vec::new(),
             ranges: Vec::new(),
             tracer: Tracer::off(),
@@ -916,8 +918,7 @@ impl Cluster {
                 // (which the system either forwarded to the L2 or let
                 // lapse).
                 self.prefetch_hints.clear();
-                self.prefetch_hints
-                    .append(&mut dma.engine.take_prefetch_hints());
+                self.prefetch_hints.extend(dma.engine.take_prefetch_hints());
             }
         }
         Ok(beat)
@@ -937,8 +938,8 @@ impl Cluster {
     /// [`Cluster::begin_cycle`] and [`Cluster::end_cycle`]): a system
     /// owner forwards them to the shared L2's prefetcher, rewriting each
     /// hint's `requester` to this cluster's id.
-    pub fn take_prefetch_hints(&mut self) -> Vec<PrefetchHint> {
-        std::mem::take(&mut self.prefetch_hints)
+    pub fn take_prefetch_hints(&mut self) -> std::vec::Drain<'_, PrefetchHint> {
+        self.prefetch_hints.drain(..)
     }
 
     /// Second half of a cluster cycle: the TCDM crossbar pass (the DMA
@@ -1005,10 +1006,10 @@ impl Cluster {
                     .map_err(tag(h))?;
             }
         } else {
-            let grants = self.tcdm.arbitrate(&self.requests);
+            self.tcdm.arbitrate_into(&self.requests, &mut self.grants);
             for &(h, start, end) in &self.ranges {
                 self.cores[h]
-                    .apply_grants(&grants[start..end], &mut self.tcdm)
+                    .apply_grants(&self.grants[start..end], &mut self.tcdm)
                     .map_err(tag(h))?;
             }
             if dma_req {
@@ -1021,7 +1022,12 @@ impl Cluster {
                         .expect("shared-memory DMA engine needs the external store"),
                 };
                 dma.engine
-                    .apply_grant(grants[grants.len() - 1], &mut self.tcdm, mem, timing)
+                    .apply_grant(
+                        self.grants[self.grants.len() - 1],
+                        &mut self.tcdm,
+                        mem,
+                        timing,
+                    )
                     .map_err(|e| ClusterError::Dma {
                         hart: None,
                         source: e,

@@ -248,55 +248,51 @@ impl FpSubsystem {
 
     /// Commits at most one completed op through the writeback port.
     ///
-    /// Returns integer-register writebacks for the integer core to apply.
-    pub fn writeback(&mut self, counters: &mut PerfCounters) -> Vec<IntWriteback> {
+    /// Returns the integer-register writeback for the integer core to
+    /// apply, if the committed op targets an integer register.
+    pub fn writeback(&mut self, counters: &mut PerfCounters) -> Option<IntWriteback> {
         self.blocked_reason = None;
-        let mut int_wb = Vec::new();
         // Fixed priority: LSU > divsqrt > conv > noncomp > addmul.
         // The first candidate that can commit uses the port; the others
         // hold (their pipelines backpressure).
-        let mut port_used = false;
 
         // LSU landed load.
         if let FpLsu::LoadLanded { dest, bits } = self.lsu {
-            if self.try_commit(dest, bits, counters, &mut int_wb) {
+            if let Some(int_wb) = self.try_commit(dest, bits, counters) {
                 self.lsu = FpLsu::Idle;
-                port_used = true;
+                self.wb_port_free = false;
+                return int_wb;
             }
         }
         // Iterative unit.
-        if !port_used {
-            if let Some(&op) = self.divsqrt.ready() {
-                if self.try_commit(op.dest, op.bits, counters, &mut int_wb) {
-                    self.divsqrt.take_ready();
-                    port_used = true;
-                }
+        if let Some(&op) = self.divsqrt.ready() {
+            if let Some(int_wb) = self.try_commit(op.dest, op.bits, counters) {
+                self.divsqrt.take_ready();
+                self.wb_port_free = false;
+                return int_wb;
             }
         }
         // Pipelines.
         for which in 0..3 {
-            if port_used {
-                break;
-            }
             let pipe = match which {
                 0 => &mut self.conv,
                 1 => &mut self.noncomp,
                 _ => &mut self.addmul,
             };
             if let Some(&op) = pipe.ready() {
-                let (dest, bits) = (op.dest, op.bits);
-                if self.try_commit(dest, bits, counters, &mut int_wb) {
+                if let Some(int_wb) = self.try_commit(op.dest, op.bits, counters) {
                     match which {
                         0 => self.conv.take_ready(),
                         1 => self.noncomp.take_ready(),
                         _ => self.addmul.take_ready(),
                     };
-                    port_used = true;
+                    self.wb_port_free = false;
+                    return int_wb;
                 }
             }
         }
-        self.wb_port_free = !port_used;
-        int_wb
+        self.wb_port_free = true;
+        None
     }
 
     /// Detects the chained-FIFO jam the issue stage can resolve itself:
@@ -352,29 +348,31 @@ impl FpSubsystem {
             OpClass::DivSqrt => self.divsqrt.take_ready(),
         }
         .expect("drain target verified by chained_drain_target");
-        let mut int_wb = Vec::new();
-        let committed = self.try_commit(op.dest, op.bits, counters, &mut int_wb);
+        let committed = self.try_commit(op.dest, op.bits, counters);
         debug_assert!(
-            committed && int_wb.is_empty(),
+            matches!(committed, Some(None)),
             "a chained drain commits into the register popped this cycle"
         );
         self.wb_port_free = false;
     }
 
     /// Attempts one commit; records the block reason on failure.
+    ///
+    /// Returns `None` when the commit is blocked, `Some(None)` when it
+    /// lands in the FP subsystem, and `Some(Some(wb))` when it produces
+    /// an integer-register writeback.
     fn try_commit(
         &mut self,
         dest: WbDest,
         bits: u64,
         counters: &mut PerfCounters,
-        int_wb: &mut Vec<IntWriteback>,
-    ) -> bool {
+    ) -> Option<Option<IntWriteback>> {
         match dest {
             WbDest::Plain(reg) => {
                 self.rf[reg.index() as usize] = bits;
                 self.pending[reg.index() as usize] -= 1;
                 counters.fp_rf_writes += 1;
-                true
+                Some(None)
             }
             WbDest::Chained(reg) => {
                 if self.chain.can_push(reg) {
@@ -382,35 +380,31 @@ impl FpSubsystem {
                     self.rf[reg.index() as usize] = bits;
                     self.pending[reg.index() as usize] -= 1;
                     counters.fp_rf_writes += 1;
-                    true
+                    Some(None)
                 } else {
                     // The paper's backpressure: hold in the final stage.
                     self.blocked_reason.get_or_insert(StallCause::ChainFull);
-                    false
+                    None
                 }
             }
             WbDest::Stream(dm) => {
                 if self.ssr.mover(dm).can_push() {
-                    let value = bits;
                     self.ssr
                         .mover_mut(dm)
-                        .push(value)
+                        .push(bits)
                         .expect("direction checked at issue");
                     counters.ssr_elements += 1;
-                    true
+                    Some(None)
                 } else {
                     self.ssr.mover_mut(dm).note_full();
                     self.blocked_reason.get_or_insert(StallCause::SsrFull);
-                    false
+                    None
                 }
             }
-            WbDest::Int(reg) => {
-                int_wb.push(IntWriteback {
-                    reg,
-                    value: bits as u32,
-                });
-                true
-            }
+            WbDest::Int(reg) => Some(Some(IntWriteback {
+                reg,
+                value: bits as u32,
+            })),
         }
     }
 
@@ -433,15 +427,16 @@ impl FpSubsystem {
         // --- readiness checks -----------------------------------------
         // Distinct source registers (a register read twice is one port
         // read / one pop, broadcast to both operand positions).
-        let mut sources = inst.fp_sources();
-        sources.dedup();
-        let mut distinct: Vec<FpReg> = Vec::with_capacity(3);
-        for s in sources {
-            if !distinct.contains(&s) {
-                distinct.push(s);
+        let mut distinct_regs = [FpReg::FT0; 3];
+        let mut ndistinct = 0;
+        for s in inst.fp_sources() {
+            if !distinct_regs[..ndistinct].contains(&s) {
+                distinct_regs[ndistinct] = s;
+                ndistinct += 1;
             }
         }
-        for &src in &distinct {
+        let distinct = &distinct_regs[..ndistinct];
+        for &src in distinct {
             match self.classify(src) {
                 RegClass::Stream(dm) => {
                     let mover = self.ssr.mover(dm);
@@ -492,7 +487,7 @@ impl FpSubsystem {
         let drain = if unit_free {
             None
         } else {
-            self.chained_drain_target(&inst, &distinct)
+            self.chained_drain_target(&inst, distinct)
         };
         if !unit_free && drain.is_none() {
             let cause = match &inst {
@@ -506,7 +501,7 @@ impl FpSubsystem {
         // --- operand read / pop ----------------------------------------
         let mut values: [(FpReg, u64); 3] = [(FpReg::new(0), 0); 3];
         let mut nvals = 0;
-        for &src in &distinct {
+        for &src in distinct {
             let bits = match self.classify(src) {
                 RegClass::Stream(dm) => {
                     let v = self.ssr.mover_mut(dm).pop().map_err(SimError::from)?;

@@ -164,20 +164,6 @@ impl Scheduler {
                 Wake::Idle => true,
             }
     }
-
-    /// The per-component wake-vector form of [`Scheduler::plan`]:
-    /// classifies each component of a partially-idle window. Element `i`
-    /// is `true` when component `i`'s wake licenses a one-cycle local
-    /// skip ([`Scheduler::local_quiet`]) — the caller steps the `false`
-    /// subset densely and bulk-advances the `true` subset alongside it.
-    /// In [`SchedMode::Dense`] every element is `false`.
-    #[must_use]
-    pub fn plan_each(&self, now: u64, wakes: impl IntoIterator<Item = Wake>) -> Vec<bool> {
-        wakes
-            .into_iter()
-            .map(|w| self.local_quiet(now, w))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -228,26 +214,14 @@ mod tests {
         assert!(!event.local_quiet(10, Wake::At(10)), "due now: dense");
         assert!(!event.local_quiet(10, Wake::At(5)), "overdue: dense");
         assert!(!event.local_quiet(10, Wake::EveryCycle));
+        // A partially idle wake vector classifies component by component.
+        let wakes = [Wake::EveryCycle, Wake::Idle, Wake::At(42), Wake::At(10)];
+        let quiet = wakes.map(|w| event.local_quiet(10, w));
+        assert_eq!(quiet, [false, true, true, false]);
 
         let dense = Scheduler::new(SchedMode::Dense);
         assert!(!dense.local_quiet(10, Wake::Idle));
         assert!(!dense.local_quiet(10, Wake::At(500)));
-    }
-
-    #[test]
-    fn plan_each_classifies_a_partially_idle_wake_vector() {
-        let s = Scheduler::new(SchedMode::Event);
-        assert_eq!(
-            s.plan_each(
-                10,
-                [Wake::EveryCycle, Wake::Idle, Wake::At(42), Wake::At(10)]
-            ),
-            vec![false, true, true, false]
-        );
-        let d = Scheduler::new(SchedMode::Dense);
-        assert_eq!(
-            d.plan_each(10, [Wake::Idle, Wake::At(42)]),
-            vec![false, false]
-        );
+        assert!(!dense.local_quiet(10, Wake::At(42)));
     }
 }

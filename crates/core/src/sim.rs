@@ -228,6 +228,9 @@ pub struct Core {
     phase_marks: Vec<PhaseMark>,
     tracer: Tracer,
     track: Track,
+    /// [`Core::step`]'s reused request and grant buffers.
+    step_requests: Vec<Request>,
+    step_grants: Vec<bool>,
 }
 
 impl Core {
@@ -291,6 +294,8 @@ impl Core {
             phase_marks: Vec::new(),
             tracer: Tracer::off(),
             track: Track::new(0, 0),
+            step_requests: Vec::new(),
+            step_grants: Vec::new(),
         }
     }
 
@@ -595,8 +600,10 @@ impl Core {
     }
 
     /// Drains the DMA commands rung since the last drain (cluster use).
-    pub fn take_dma_commands(&mut self) -> Vec<DmaCommand> {
-        std::mem::take(&mut self.dma_outbox)
+    /// The outbox keeps its capacity, so ringing a doorbell does not
+    /// allocate once the outbox has grown.
+    pub fn take_dma_commands(&mut self) -> std::vec::Drain<'_, DmaCommand> {
+        self.dma_outbox.drain(..)
     }
 
     /// Whether any DMA doorbell rings are waiting to be drained.
@@ -665,14 +672,17 @@ impl Core {
     /// Any [`SimError`]: strict-mode misuse, memory faults, `ebreak`.
     pub fn step(&mut self, tcdm: &mut Tcdm) -> Result<(), SimError> {
         self.begin_cycle()?;
-        let mut requests = Vec::with_capacity(2 + self.fp.ssr().len());
+        // The cycle's request and grant buffers are owned scratch,
+        // cleared and reused so a step never allocates.
+        let mut requests = std::mem::take(&mut self.step_requests);
+        let mut grants = std::mem::take(&mut self.step_grants);
+        requests.clear();
         self.mem_requests(&mut requests);
-        let grants = if requests.is_empty() {
-            Vec::new()
-        } else {
-            tcdm.arbitrate(&requests)
-        };
-        self.apply_grants(&grants, tcdm)?;
+        tcdm.arbitrate_into(&requests, &mut grants);
+        let applied = self.apply_grants(&grants, tcdm);
+        self.step_requests = requests;
+        self.step_grants = grants;
+        applied?;
         self.end_cycle();
         Ok(())
     }
@@ -684,8 +694,7 @@ impl Core {
     /// See [`Core::step`].
     pub fn begin_cycle(&mut self) -> Result<(), SimError> {
         // Phase 1: FP writeback (int-register results apply immediately).
-        let int_wbs = self.fp.writeback(&mut self.counters);
-        for wb in int_wbs {
+        if let Some(wb) = self.fp.writeback(&mut self.counters) {
             if !wb.reg.is_zero() {
                 self.regs[wb.reg.index() as usize] = wb.value;
             }

@@ -12,7 +12,7 @@
 use std::fmt;
 
 use crate::csr::CsrOp;
-use crate::reg::{FpReg, IntReg};
+use crate::reg::{FpReg, IntReg, RegList};
 
 /// Conditional branch comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -614,23 +614,24 @@ impl Instruction {
     }
 
     /// FP registers read by this instruction (excluding stream/chain
-    /// reinterpretation, which the core applies on top).
+    /// reinterpretation, which the core applies on top), in operand
+    /// order.
     #[must_use]
-    pub fn fp_sources(&self) -> Vec<FpReg> {
+    pub fn fp_sources(&self) -> RegList<FpReg> {
         match *self {
-            Instruction::FpStore { frs2, .. } => vec![frs2],
-            Instruction::FpBin { op, frs1, frs2, .. } => {
-                // Division reads both as well; sign-injection too.
-                let _ = op;
-                vec![frs1, frs2]
+            Instruction::FpStore { frs2, .. } => RegList::from_array([frs2, frs2, frs2], 1),
+            // Division and sign-injection read both operands too.
+            Instruction::FpBin { frs1, frs2, .. } | Instruction::FpCmp { frs1, frs2, .. } => {
+                RegList::from_array([frs1, frs2, frs2], 2)
             }
             Instruction::FpFma {
                 frs1, frs2, frs3, ..
-            } => vec![frs1, frs2, frs3],
-            Instruction::FpSqrt { frs1, .. } => vec![frs1],
-            Instruction::FpCmp { frs1, frs2, .. } => vec![frs1, frs2],
-            Instruction::FpCvt { op, frs1, .. } if !op.reads_int() => vec![frs1],
-            _ => Vec::new(),
+            } => RegList::from_array([frs1, frs2, frs3], 3),
+            Instruction::FpSqrt { frs1, .. } => RegList::from_array([frs1, frs1, frs1], 1),
+            Instruction::FpCvt { op, frs1, .. } if !op.reads_int() => {
+                RegList::from_array([frs1, frs1, frs1], 1)
+            }
+            _ => RegList::from_array([FpReg::FT0; 3], 0),
         }
     }
 
@@ -647,34 +648,36 @@ impl Instruction {
         }
     }
 
-    /// Integer registers read by this instruction.
+    /// Integer registers read by this instruction, in operand order,
+    /// `x0` excluded (it is hard-wired and never waited for).
     #[must_use]
-    pub fn int_sources(&self) -> Vec<IntReg> {
-        let mut v = Vec::new();
-        match *self {
+    pub fn int_sources(&self) -> RegList<IntReg> {
+        let (regs, len) = match *self {
             Instruction::Jalr { rs1, .. }
             | Instruction::Load { rs1, .. }
             | Instruction::OpImm { rs1, .. }
             | Instruction::FpLoad { rs1, .. }
-            | Instruction::FpStore { rs1, .. } => v.push(rs1),
+            | Instruction::FpStore { rs1, .. }
+            | Instruction::Csr {
+                src: CsrSrc::Reg(rs1),
+                ..
+            }
+            | Instruction::Scfgwi { rs1, .. } => ([rs1, rs1], 1),
+            Instruction::FpCvt { op, rs1, .. } if op.reads_int() => ([rs1, rs1], 1),
+            Instruction::Frep { max_rpt, .. } => ([max_rpt, max_rpt], 1),
             Instruction::Branch { rs1, rs2, .. }
             | Instruction::Store { rs2, rs1, .. }
             | Instruction::Op { rs1, rs2, .. }
-            | Instruction::MulDiv { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
+            | Instruction::MulDiv { rs1, rs2, .. } => ([rs1, rs2], 2),
+            _ => ([IntReg::ZERO; 2], 0),
+        };
+        let mut list = RegList::from_array([IntReg::ZERO; 3], 0);
+        for &r in &regs[..len] {
+            if !r.is_zero() {
+                list.push(r);
             }
-            Instruction::Csr {
-                src: CsrSrc::Reg(rs1),
-                ..
-            } => v.push(rs1),
-            Instruction::FpCvt { op, rs1, .. } if op.reads_int() => v.push(rs1),
-            Instruction::Frep { max_rpt, .. } => v.push(max_rpt),
-            Instruction::Scfgwi { rs1, .. } => v.push(rs1),
-            _ => {}
         }
-        v.retain(|r| !r.is_zero());
-        v
+        list
     }
 
     /// Integer register written by this instruction, if any.

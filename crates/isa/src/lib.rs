@@ -50,4 +50,4 @@ pub use inst::{
 };
 pub use parse::{parse_asm, ParseAsmError};
 pub use program::Program;
-pub use reg::{FpReg, IntReg, ParseRegError};
+pub use reg::{FpReg, IntReg, ParseRegError, RegList};

@@ -237,9 +237,105 @@ impl From<FpReg> for u8 {
     }
 }
 
+/// The registers one instruction reads: at most three, stored inline so
+/// the per-cycle issue checks never touch the heap. Dereferences to a
+/// slice in operand order.
+#[derive(Clone, Copy)]
+pub struct RegList<T> {
+    regs: [T; 3],
+    len: u8,
+}
+
+impl<T: Copy> RegList<T> {
+    /// The first `len` entries of `regs` (the rest are ignored).
+    pub(crate) fn from_array(regs: [T; 3], len: usize) -> Self {
+        assert!(len <= 3, "an instruction reads at most three registers");
+        RegList {
+            regs,
+            len: len as u8,
+        }
+    }
+
+    pub(crate) fn push(&mut self, reg: T) {
+        self.regs[usize::from(self.len)] = reg;
+        self.len += 1;
+    }
+
+    /// Removes and returns the last register, if any.
+    pub fn pop(&mut self) -> Option<T> {
+        let last = self.len.checked_sub(1)?;
+        self.len = last;
+        Some(self.regs[usize::from(last)])
+    }
+}
+
+impl<T> std::ops::Deref for RegList<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl<T> IntoIterator for RegList<T> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a, T> IntoIterator for &'a RegList<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: PartialEq> PartialEq for RegList<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for RegList<T> {}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for RegList<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for RegList<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reg_list_is_a_slice_in_operand_order() {
+        let mut l = RegList::from_array([FpReg::FT2, FpReg::FT0, FpReg::FT1], 2);
+        assert_eq!(&*l, &[FpReg::FT2, FpReg::FT0]);
+        assert_eq!(l, vec![FpReg::FT2, FpReg::FT0]);
+        l.push(FpReg::FT3);
+        assert_eq!(
+            l.into_iter().collect::<Vec<_>>(),
+            [FpReg::FT2, FpReg::FT0, FpReg::FT3]
+        );
+        assert_eq!(l.pop(), Some(FpReg::FT3));
+        assert_eq!(l.pop(), Some(FpReg::FT0));
+        assert_eq!(l.pop(), Some(FpReg::FT2));
+        assert_eq!(l.pop(), None);
+        assert!(l.is_empty());
+        assert_eq!(format!("{l:?}"), "[]");
+    }
 
     #[test]
     fn int_reg_roundtrips_via_abi_name() {

@@ -740,15 +740,27 @@ impl L2 {
         }
     }
 
-    /// Arbitrates one cycle of beats — at most one request per cluster,
-    /// at most one grant per bank, rotation over clusters. Reads of
-    /// missing lines stall behind the cache core's MSHRs/channels;
-    /// writes allocate without a fetch and never stall. Returns per-beat
-    /// outcomes index-aligned with `requests`.
+    /// Arbitrates one cycle of beats. Returns per-beat outcomes
+    /// index-aligned with `requests`; see [`L2::arbitrate_into`], which
+    /// this wraps with a fresh output vector.
     pub fn arbitrate(&mut self, requests: &[L2Request]) -> Vec<L2Outcome> {
-        let mut outcomes = vec![L2Outcome::BankConflict; requests.len()];
+        let mut outcomes = Vec::new();
+        self.arbitrate_into(requests, &mut outcomes);
+        outcomes
+    }
+
+    /// Arbitrates one cycle of beats into a caller-owned buffer — at
+    /// most one request per cluster, at most one grant per bank,
+    /// rotation over clusters. Reads of missing lines stall behind the
+    /// cache core's MSHRs/channels; writes allocate without a fetch and
+    /// never stall. `outcomes` is cleared and refilled index-aligned
+    /// with `requests`, so a caller that keeps the buffer across cycles
+    /// arbitrates without allocating.
+    pub fn arbitrate_into(&mut self, requests: &[L2Request], outcomes: &mut Vec<L2Outcome>) {
+        outcomes.clear();
+        outcomes.resize(requests.len(), L2Outcome::BankConflict);
         if requests.is_empty() {
-            return outcomes;
+            return;
         }
         self.bank_taken.fill(false);
         // True round-robin over the *configured* cluster ids: priority
@@ -812,7 +824,6 @@ impl L2 {
             Some(cluster) => (cluster + 1) % n,
             None => (self.rr_next + 1) % n,
         };
-        outcomes
     }
 
     /// Cycle end: the refill/write-back channels advance; a finished

@@ -76,6 +76,107 @@ proptest! {
     }
 }
 
+/// A request from anywhere in the 8-bit port space — low ports most
+/// often (a cluster's cores), the top port 255 always in reach.
+fn wide_request() -> impl Strategy<Value = Request> {
+    (
+        prop_oneof![0u8..16, Just(255u8), any::<u8>()],
+        0u32..512,
+        any::<bool>(),
+    )
+        .prop_map(|(p, word, w)| Request {
+            port: PortId(p),
+            addr: word * 8,
+            kind: if w {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+        })
+}
+
+/// Long batches, then short ones, then empty cycles: a reused buffer
+/// must shrink as well as grow.
+fn long_short_empty() -> impl Strategy<Value = Vec<Vec<Request>>> {
+    (
+        proptest::collection::vec(proptest::collection::vec(wide_request(), 6..16), 1..8),
+        proptest::collection::vec(proptest::collection::vec(wide_request(), 0..3), 1..8),
+        1usize..4,
+    )
+        .prop_map(|(mut batches, short, empty)| {
+            batches.extend(short);
+            batches.extend((0..empty).map(|_| Vec::new()));
+            batches
+        })
+}
+
+proptest! {
+    /// `arbitrate_into` with one buffer reused across every cycle makes
+    /// exactly the decisions — and the statistics — of `arbitrate` with
+    /// a fresh vector per cycle, grouped or not.
+    #[test]
+    fn tcdm_reused_buffer_matches_fresh_arbitrate(
+        batches in long_short_empty(),
+        group in prop_oneof![Just(0u8), Just(1), Just(2), Just(4)],
+    ) {
+        let cfg = TcdmConfig::new().with_size(8192).with_banks(8);
+        let (mut fresh, mut reused) = (Tcdm::new(cfg), Tcdm::new(cfg));
+        fresh.set_port_group_size(group);
+        reused.set_port_group_size(group);
+        let mut grants = Vec::new();
+        for batch in &batches {
+            reused.arbitrate_into(batch, &mut grants);
+            prop_assert_eq!(&grants, &fresh.arbitrate(batch));
+        }
+        prop_assert_eq!(fresh.stats(), reused.stats());
+    }
+
+    /// The dense per-port tables agree with an externally kept per-port
+    /// tally: the totals are the sums of the per-port accessors over the
+    /// whole 8-bit port space (port 255 included), and
+    /// `totals_of_port_range` sums exactly the ports of its range.
+    #[test]
+    fn tcdm_stats_totals_are_sums_of_per_port_counters(
+        batches in long_short_empty(),
+        lo in any::<u8>(),
+        hi in any::<u8>(),
+    ) {
+        let mut tcdm = Tcdm::new(TcdmConfig::new().with_size(8192).with_banks(8));
+        let mut tally = [(0u64, 0u64, 0u64); 256];
+        for batch in &batches {
+            for (req, granted) in batch.iter().zip(tcdm.arbitrate(batch)) {
+                let t = &mut tally[usize::from(req.port.0)];
+                match (granted, req.kind) {
+                    (true, AccessKind::Read) => t.0 += 1,
+                    (true, AccessKind::Write) => t.1 += 1,
+                    (false, _) => t.2 += 1,
+                }
+            }
+        }
+        let s = tcdm.stats();
+        let ports = || (0..=255u8).map(PortId);
+        for p in ports() {
+            let (reads, writes, conflicts) = tally[usize::from(p.0)];
+            prop_assert_eq!((s.reads_of(p), s.writes_of(p), s.conflicts_of(p)),
+                (reads, writes, conflicts), "{}", p);
+            prop_assert_eq!(s.accesses_of(p), reads + writes);
+        }
+        prop_assert_eq!(s.reads(), ports().map(|p| s.reads_of(p)).sum::<u64>());
+        prop_assert_eq!(s.writes(), ports().map(|p| s.writes_of(p)).sum::<u64>());
+        prop_assert_eq!(s.conflicts(), ports().map(|p| s.conflicts_of(p)).sum::<u64>());
+        prop_assert_eq!(s.total_accesses(), s.reads() + s.writes());
+        let (lo, hi) = (lo.min(hi), lo.max(hi));
+        let expect = tally[usize::from(lo)..usize::from(hi)]
+            .iter()
+            .fold((0, 0), |(a, c), t| (a + t.0 + t.1, c + t.2));
+        prop_assert_eq!(s.totals_of_port_range(lo..hi), expect);
+        // `u8` ranges stop short of port 255: it adds on top.
+        let (a, c) = s.totals_of_port_range(0..255);
+        prop_assert_eq!((a + s.accesses_of(PortId(255)), c + s.conflicts_of(PortId(255))),
+            (s.total_accesses(), s.conflicts()));
+    }
+}
+
 /// One cluster's beat per cycle at most — the shape the system actually
 /// drives the L2 with (each cluster's DMA engine issues at most one
 /// beat; duplicates from the generator are dropped).
@@ -144,6 +245,33 @@ fn drive(l2: &mut L2, batches: &[Vec<L2Request>]) -> (u64, u64) {
         l2.end_cycle();
     }
     (reads, writes)
+}
+
+proptest! {
+    /// `L2::arbitrate_into` with one outcome buffer reused across every
+    /// cycle matches `L2::arbitrate` with a fresh vector per cycle —
+    /// outcome for outcome, and in every statistic — on finite and
+    /// infinite geometries alike.
+    #[test]
+    fn l2_reused_buffer_matches_fresh_arbitrate(
+        cfg in finite_l2_config(),
+        long in proptest::collection::vec(l2_batch(4), 20..80),
+        short in proptest::collection::vec(l2_batch(1), 1..20),
+        empty in 1usize..4,
+    ) {
+        let (mut fresh, mut reused) = (L2::new(cfg, 4), L2::new(cfg, 4));
+        let mut outcomes = Vec::new();
+        let empties = (0..empty).map(|_| Vec::new());
+        for batch in long.iter().chain(&short).cloned().chain(empties) {
+            fresh.begin_cycle();
+            reused.begin_cycle();
+            reused.arbitrate_into(&batch, &mut outcomes);
+            prop_assert_eq!(&outcomes, &fresh.arbitrate(&batch));
+            fresh.end_cycle();
+            reused.end_cycle();
+        }
+        prop_assert_eq!(fresh.stats(), reused.stats());
+    }
 }
 
 proptest! {

@@ -170,6 +170,14 @@ impl Default for TcdmConfig {
     }
 }
 
+/// Size of one separately allocated page of the byte store. A multiple
+/// of every access width, so an aligned access never straddles two
+/// pages. Pages rather than one block: simulators built one after
+/// another then reuse each other's freed memory piecewise, where a
+/// single multi-MiB block needs a hole of its full size and otherwise
+/// takes fresh memory, raising the process's peak resident set.
+const PAGE_BYTES: u32 = 64 << 10;
+
 /// The banked scratchpad: functional byte store + per-cycle bank arbiter.
 ///
 /// # Examples
@@ -192,7 +200,8 @@ impl Default for TcdmConfig {
 #[derive(Debug, Clone)]
 pub struct Tcdm {
     cfg: TcdmConfig,
-    data: Vec<u8>,
+    /// The byte store, in separately allocated pages of `PAGE_BYTES`.
+    pages: Vec<Box<[u8]>>,
     stats: TcdmStats,
     /// Round-robin arbitration pointer, rotated every arbitration cycle so
     /// no master is starved under persistent conflicts.
@@ -203,6 +212,10 @@ pub struct Tcdm {
     /// ports second, so one core's many streams cannot starve another
     /// core's single LSU.
     port_group_size: u8,
+    /// [`Tcdm::arbitrate_into`]'s reused per-bank and priority-order
+    /// scratch.
+    bank_taken: Vec<bool>,
+    order: Vec<usize>,
 }
 
 impl Tcdm {
@@ -210,11 +223,17 @@ impl Tcdm {
     #[must_use]
     pub fn new(cfg: TcdmConfig) -> Self {
         Tcdm {
-            data: vec![0; cfg.size as usize],
+            pages: (0..cfg.size.div_ceil(PAGE_BYTES))
+                .map(|p| {
+                    vec![0; (cfg.size - p * PAGE_BYTES).min(PAGE_BYTES) as usize].into_boxed_slice()
+                })
+                .collect(),
             stats: TcdmStats::new(cfg.banks),
             cfg,
             rr_next: 0,
             port_group_size: 0,
+            bank_taken: vec![false; cfg.banks as usize],
+            order: Vec::new(),
         }
     }
 
@@ -257,15 +276,29 @@ impl Tcdm {
 
     /// Arbitrates one cycle of requests.
     ///
-    /// Returns a grant flag per request (index-aligned with the input).
+    /// Returns a grant flag per request (index-aligned with the input);
+    /// see [`Tcdm::arbitrate_into`], which this wraps with a fresh
+    /// output vector.
+    pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<bool> {
+        let mut grants = Vec::new();
+        self.arbitrate_into(requests, &mut grants);
+        grants
+    }
+
+    /// Arbitrates one cycle of requests into a caller-owned buffer.
+    ///
+    /// `grants` is cleared and refilled with one flag per request
+    /// (index-aligned with the input), so a caller that keeps the buffer
+    /// across cycles arbitrates without allocating.
     /// At most one request per bank is granted per cycle; ties are broken
     /// round-robin on the port id, with the starting priority rotating
     /// every call so persistent conflicts share bandwidth fairly.
     /// Granted requests are counted in the statistics; data movement is
     /// performed separately by the caller through the functional API.
-    pub fn arbitrate(&mut self, requests: &[Request]) -> Vec<bool> {
-        let mut grants = vec![false; requests.len()];
-        let mut bank_taken = vec![false; self.cfg.banks as usize];
+    pub fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<bool>) {
+        grants.clear();
+        grants.resize(requests.len(), false);
+        self.bank_taken.fill(false);
         // Order candidate indexes by rotated priority. The rotation is
         // taken modulo the highest requesting port (or group) so two
         // contenders share bandwidth 50/50 rather than by the full 8-bit
@@ -300,21 +333,22 @@ impl Tcdm {
         // to the ungrouped rotation.
         let rr_group = u16::from(self.rr_next) % ngroups;
         let rr_port = (u16::from(self.rr_next) / ngroups) % nports;
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| {
+        self.order.clear();
+        self.order.extend(0..requests.len());
+        self.order.sort_by_key(|&i| {
             let (group, port) = key_parts(requests[i].port.0);
             (
                 (group + ngroups - rr_group) % ngroups,
                 (port + nports - rr_port) % nports,
             )
         });
-        for i in order {
+        for &i in &self.order {
             let req = &requests[i];
             let bank = self.bank_of(req.addr) as usize;
-            if bank_taken[bank] {
+            if self.bank_taken[bank] {
                 self.stats.record_conflict(req.port, bank as u32);
             } else {
-                bank_taken[bank] = true;
+                self.bank_taken[bank] = true;
                 grants[i] = true;
                 self.stats.record_grant(req.port, bank as u32, req.kind);
             }
@@ -322,7 +356,20 @@ impl Tcdm {
         if !requests.is_empty() {
             self.rr_next = self.rr_next.wrapping_add(1);
         }
-        grants
+    }
+
+    /// The `width` bytes at `addr`, after the alignment and bounds
+    /// checks.
+    fn bytes(&self, addr: u32, width: u32) -> Result<&[u8], MemError> {
+        self.check(addr, width)?;
+        let off = (addr % PAGE_BYTES) as usize;
+        Ok(&self.pages[(addr / PAGE_BYTES) as usize][off..off + width as usize])
+    }
+
+    fn bytes_mut(&mut self, addr: u32, width: u32) -> Result<&mut [u8], MemError> {
+        self.check(addr, width)?;
+        let off = (addr % PAGE_BYTES) as usize;
+        Ok(&mut self.pages[(addr / PAGE_BYTES) as usize][off..off + width as usize])
     }
 
     fn check(&self, addr: u32, width: u32) -> Result<(), MemError> {
@@ -348,10 +395,8 @@ impl Tcdm {
     ///
     /// Fails if the access is misaligned or out of bounds.
     pub fn read_u64(&self, addr: u32) -> Result<u64, MemError> {
-        self.check(addr, 8)?;
-        let a = addr as usize;
         Ok(u64::from_le_bytes(
-            self.data[a..a + 8].try_into().expect("8 bytes"),
+            self.bytes(addr, 8)?.try_into().expect("8 bytes"),
         ))
     }
 
@@ -361,9 +406,8 @@ impl Tcdm {
     ///
     /// Fails if the access is misaligned or out of bounds.
     pub fn write_u64(&mut self, addr: u32, value: u64) -> Result<(), MemError> {
-        self.check(addr, 8)?;
-        let a = addr as usize;
-        self.data[a..a + 8].copy_from_slice(&value.to_le_bytes());
+        self.bytes_mut(addr, 8)?
+            .copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -373,10 +417,8 @@ impl Tcdm {
     ///
     /// Fails if the access is misaligned or out of bounds.
     pub fn read_u32(&self, addr: u32) -> Result<u32, MemError> {
-        self.check(addr, 4)?;
-        let a = addr as usize;
         Ok(u32::from_le_bytes(
-            self.data[a..a + 4].try_into().expect("4 bytes"),
+            self.bytes(addr, 4)?.try_into().expect("4 bytes"),
         ))
     }
 
@@ -386,9 +428,8 @@ impl Tcdm {
     ///
     /// Fails if the access is misaligned or out of bounds.
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
-        self.check(addr, 4)?;
-        let a = addr as usize;
-        self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
+        self.bytes_mut(addr, 4)?
+            .copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -398,8 +439,7 @@ impl Tcdm {
     ///
     /// Fails if the address is out of bounds.
     pub fn read_u8(&self, addr: u32) -> Result<u8, MemError> {
-        self.check(addr, 1)?;
-        Ok(self.data[addr as usize])
+        Ok(self.bytes(addr, 1)?[0])
     }
 
     /// Writes one byte.
@@ -408,8 +448,7 @@ impl Tcdm {
     ///
     /// Fails if the address is out of bounds.
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemError> {
-        self.check(addr, 1)?;
-        self.data[addr as usize] = value;
+        self.bytes_mut(addr, 1)?[0] = value;
         Ok(())
     }
 
@@ -419,10 +458,8 @@ impl Tcdm {
     ///
     /// Fails if the access is misaligned or out of bounds.
     pub fn read_u16(&self, addr: u32) -> Result<u16, MemError> {
-        self.check(addr, 2)?;
-        let a = addr as usize;
         Ok(u16::from_le_bytes(
-            self.data[a..a + 2].try_into().expect("2 bytes"),
+            self.bytes(addr, 2)?.try_into().expect("2 bytes"),
         ))
     }
 
@@ -432,9 +469,8 @@ impl Tcdm {
     ///
     /// Fails if the access is misaligned or out of bounds.
     pub fn write_u16(&mut self, addr: u32, value: u16) -> Result<(), MemError> {
-        self.check(addr, 2)?;
-        let a = addr as usize;
-        self.data[a..a + 2].copy_from_slice(&value.to_le_bytes());
+        self.bytes_mut(addr, 2)?
+            .copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -551,6 +587,25 @@ mod tests {
         );
         // Last valid u64 slot works.
         m.write_u64(4088, 7).unwrap();
+    }
+
+    #[test]
+    fn accesses_reach_every_backing_page() {
+        // 96 KiB: one full 64 KiB page and a half page.
+        let mut m = Tcdm::new(TcdmConfig::new().with_size(96 << 10));
+        let edges = [0, (64 << 10) - 8, 64 << 10, (96 << 10) - 8];
+        for (i, &addr) in edges.iter().enumerate() {
+            m.write_u64(addr, 0x1111 * (i as u64 + 1)).unwrap();
+        }
+        for (i, &addr) in edges.iter().enumerate() {
+            assert_eq!(m.read_u64(addr).unwrap(), 0x1111 * (i as u64 + 1));
+        }
+        m.write_u8((64 << 10) - 1, 0xAB).unwrap();
+        assert_eq!(m.read_u32((64 << 10) - 4).unwrap(), 0xAB00_0000);
+        assert!(matches!(
+            m.read_u64(96 << 10),
+            Err(MemError::OutOfBounds { .. })
+        ));
     }
 
     #[test]
