@@ -623,51 +623,20 @@ impl Cluster {
         self.cores.iter().map(|c| c.counters().attr).collect()
     }
 
-    /// Attaches a DMA engine moving data between `dram` and the shared
-    /// TCDM. The engine arbitrates on the first crossbar port *after*
-    /// every core's namespace (`num_cores × ports_per_core`), forming its
-    /// own arbitration group — inter-group fairness treats the mover
-    /// like one more core, so DMA beats neither starve nor are starved
-    /// by compute traffic. An attached-but-idle engine leaves the
-    /// cluster's cycle-by-cycle behaviour bit-identical to a cluster
-    /// without one.
+    /// Attaches a DMA engine; `dram` is its own background memory, or
+    /// `None` when the multi-cluster system owns the shared L2/Dram and
+    /// passes it into every [`Cluster::end_cycle`] call. The engine
+    /// pays `timing` per transfer/beat and arbitrates on the first
+    /// crossbar port *after* every core's namespace
+    /// (`num_cores × ports_per_core`), forming its own arbitration group
+    /// — inter-group fairness treats the mover like one more core, so
+    /// DMA beats neither starve nor are starved by compute traffic. An
+    /// attached-but-idle engine leaves the cluster's cycle-by-cycle
+    /// behaviour bit-identical to a cluster without one.
     ///
     /// # Panics
     ///
     /// Panics if the engine's port would overflow the 8-bit port space.
-    #[deprecated(note = "construct the cluster with `ClusterBuilder::dma` instead")]
-    pub fn attach_dma(&mut self, dram: Dram) {
-        let timing = dram.config();
-        self.attach_dma_inner(Some(dram), timing);
-    }
-
-    /// Attaches a DMA engine whose background memory is owned
-    /// *externally* — the multi-cluster system's shared L2/Dram. The
-    /// engine pays `timing` per transfer/beat (the L2 hop,
-    /// [`sc_mem::L2Config::engine_timing`]); the owner passes the shared
-    /// functional store into every [`Cluster::end_cycle`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's port would overflow the 8-bit port space.
-    #[deprecated(note = "construct the cluster with `ClusterBuilder::shared_dma` instead")]
-    pub fn attach_dma_shared(&mut self, timing: DramConfig) {
-        self.attach_dma_inner(None, timing);
-    }
-
-    /// Post-construction shared-DMA attachment hook for the system
-    /// crate's own (deprecated) `attach_dram` shim. Not part of the
-    /// public API: construct clusters with [`ClusterBuilder::shared_dma`]
-    /// instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's port would overflow the 8-bit port space.
-    #[doc(hidden)]
-    pub fn attach_shared_dma_engine(&mut self, timing: DramConfig) {
-        self.attach_dma_inner(None, timing);
-    }
-
     fn attach_dma_inner(&mut self, dram: Option<Dram>, timing: DramConfig) {
         let port = self.cfg.num_cores * u32::from(self.cfg.ports_per_core());
         assert!(port < 256, "DMA port overflows the 8-bit port namespace");
@@ -789,15 +758,6 @@ impl Cluster {
     /// system-size CSRs read the position, and the inter-cluster barrier
     /// is resolved by the *system* (which sees every cluster's harts)
     /// instead of locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster_id >= num_clusters`.
-    #[deprecated(note = "construct the cluster with `ClusterBuilder::embedded` instead")]
-    pub fn embed_in_system(&mut self, cluster_id: u32, num_clusters: u32) {
-        self.embed_inner(cluster_id, num_clusters);
-    }
-
     fn embed_inner(&mut self, cluster_id: u32, num_clusters: u32) {
         for core in &mut self.cores {
             core.set_cluster_pos(cluster_id, num_clusters);
@@ -922,16 +882,6 @@ impl Cluster {
             }
         }
         Ok(beat)
-    }
-
-    /// Deprecated name of [`Cluster::begin_cycle`].
-    ///
-    /// # Errors
-    ///
-    /// The first core error, tagged with its hart ID.
-    #[deprecated(note = "renamed to `begin_cycle` (unified phase naming)")]
-    pub fn begin_step(&mut self) -> Result<Option<(u32, AccessKind)>, ClusterError> {
-        self.begin_cycle()
     }
 
     /// The stride hints this cycle's doorbells published (valid between
@@ -1110,20 +1060,6 @@ impl Cluster {
             return Err(ClusterError::Hang(report));
         }
         Ok(())
-    }
-
-    /// Deprecated name of [`Cluster::end_cycle`].
-    ///
-    /// # Errors
-    ///
-    /// Core errors (hart-tagged) or DMA beat faults.
-    #[deprecated(note = "renamed to `end_cycle` (unified phase naming)")]
-    pub fn finish_step(
-        &mut self,
-        dma_mem: L2Outcome,
-        ext_mem: Option<&mut Dram>,
-    ) -> Result<(), ClusterError> {
-        self.end_cycle(dma_mem, ext_mem)
     }
 
     /// How many of this cluster's harts are parked on the inter-cluster
@@ -1431,9 +1367,8 @@ enum DmaSource {
     Shared(DramConfig),
 }
 
-/// Fluent construction of a [`Cluster`], replacing the order-sensitive
-/// `attach_dma`/`attach_dma_shared`/`embed_in_system`/`set_tracer`
-/// call sequence: options accumulate in any order and
+/// Fluent construction of a [`Cluster`]: options accumulate in any
+/// order and
 /// [`ClusterBuilder::build`] applies them in the one order that wires
 /// everything correctly (embedding before tracer naming, tracer before
 /// engine attachment so the engine inherits the subscription).

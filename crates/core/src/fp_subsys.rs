@@ -296,28 +296,18 @@ impl FpSubsystem {
     }
 
     /// Detects the chained-FIFO jam the issue stage can resolve itself:
-    /// `inst` (a compute op) targets a unit whose writeback slot holds a
-    /// completion into a chained register that `inst` is about to pop.
+    /// a compute op for unit `class` finds its writeback slot holding a
+    /// completion into a chained register that the op is about to pop.
     /// In hardware the pipeline registers *are* the tail of that
     /// register's logical FIFO, so the pop at the head and the held push
     /// advance together as one synchronous shift — the consumer must not
     /// stall on the unit being "full", or the rotation deadlocks the
     /// moment backpressure packs the pipeline. Returns the unit class to
     /// drain during issue.
-    fn chained_drain_target(&self, inst: &Instruction, popped: &[FpReg]) -> Option<OpClass> {
-        if !self.cfg.chained_fifo_shift {
+    fn chained_drain_target(&self, class: OpClass, popped: &[FpReg]) -> Option<OpClass> {
+        if !self.cfg.chained_fifo_shift || !self.wb_port_free {
             return None;
         }
-        if !self.wb_port_free
-            || matches!(
-                inst,
-                Instruction::FpLoad { .. } | Instruction::FpStore { .. }
-            )
-        {
-            return None;
-        }
-        let (op, _) = FpuOp::from_instruction(inst).expect("compute op");
-        let class = op.class();
         let held = match class {
             OpClass::AddMul => self.addmul.ready(),
             OpClass::NonComp => self.noncomp.ready(),
@@ -426,18 +416,29 @@ impl FpSubsystem {
 
         // --- readiness checks -----------------------------------------
         // Distinct source registers (a register read twice is one port
-        // read / one pop, broadcast to both operand positions).
+        // read / one pop, broadcast to both operand positions), each
+        // classified once: nothing between the checks and the pops
+        // below changes a register's class.
         let mut distinct_regs = [FpReg::FT0; 3];
+        let mut classes = [RegClass::Plain; 3];
         let mut ndistinct = 0;
-        for s in inst.fp_sources() {
-            if !distinct_regs[..ndistinct].contains(&s) {
-                distinct_regs[ndistinct] = s;
-                ndistinct += 1;
-            }
+        // Operand position → index into the distinct registers.
+        let mut distinct_of = [0usize; 3];
+        let sources = inst.fp_sources();
+        for (at, &s) in distinct_of.iter_mut().zip(sources.iter()) {
+            *at = match distinct_regs[..ndistinct].iter().position(|&r| r == s) {
+                Some(i) => i,
+                None => {
+                    distinct_regs[ndistinct] = s;
+                    classes[ndistinct] = self.classify(s);
+                    ndistinct += 1;
+                    ndistinct - 1
+                }
+            };
         }
         let distinct = &distinct_regs[..ndistinct];
-        for &src in distinct {
-            match self.classify(src) {
+        for (&src, &class) in distinct.iter().zip(&classes) {
+            match class {
                 RegClass::Stream(dm) => {
                     let mover = self.ssr.mover(dm);
                     if !mover.can_pop() {
@@ -472,37 +473,32 @@ impl FpSubsystem {
             }
         }
         // Target unit.
-        let unit_free = match &inst {
-            Instruction::FpLoad { .. } | Instruction::FpStore { .. } => self.lsu == FpLsu::Idle,
-            _ => {
-                let (op, _) = FpuOp::from_instruction(&inst).expect("compute op");
-                match op.class() {
-                    OpClass::AddMul => self.addmul.can_issue(),
-                    OpClass::NonComp => self.noncomp.can_issue(),
-                    OpClass::Conv => self.conv.can_issue(),
-                    OpClass::DivSqrt => self.divsqrt.can_issue(),
-                }
-            }
+        let unit_free = match fp.fpu {
+            None => self.lsu == FpLsu::Idle,
+            Some(d) => match d.class {
+                OpClass::AddMul => self.addmul.can_issue(),
+                OpClass::NonComp => self.noncomp.can_issue(),
+                OpClass::Conv => self.conv.can_issue(),
+                OpClass::DivSqrt => self.divsqrt.can_issue(),
+            },
         };
-        let drain = if unit_free {
-            None
-        } else {
-            self.chained_drain_target(&inst, distinct)
+        let drain = match fp.fpu {
+            Some(d) if !unit_free => self.chained_drain_target(d.class, distinct),
+            _ => None,
         };
         if !unit_free && drain.is_none() {
-            let cause = match &inst {
-                Instruction::FpLoad { .. } | Instruction::FpStore { .. } => StallCause::LsuBusy,
-                _ => self.blocked_reason.unwrap_or(StallCause::UnitBusy),
+            let cause = match fp.fpu {
+                None => StallCause::LsuBusy,
+                Some(_) => self.blocked_reason.unwrap_or(StallCause::UnitBusy),
             };
             counters.record_stall(cause);
             return Ok(IssueOutcome::Stalled(cause));
         }
 
         // --- operand read / pop ----------------------------------------
-        let mut values: [(FpReg, u64); 3] = [(FpReg::new(0), 0); 3];
-        let mut nvals = 0;
-        for &src in distinct {
-            let bits = match self.classify(src) {
+        let mut values = [0u64; 3];
+        for ((&src, &class), value) in distinct.iter().zip(&classes).zip(&mut values) {
+            *value = match class {
                 RegClass::Stream(dm) => {
                     let v = self.ssr.mover_mut(dm).pop().map_err(SimError::from)?;
                     counters.ssr_elements += 1;
@@ -518,16 +514,19 @@ impl FpSubsystem {
                     self.rf[src.index() as usize]
                 }
             };
-            values[nvals] = (src, bits);
-            nvals += 1;
         }
-        let lookup = |reg: FpReg| -> u64 {
-            values[..nvals]
-                .iter()
-                .find(|(r, _)| *r == reg)
-                .map(|(_, b)| *b)
-                .expect("operand read")
-        };
+        // Operand values in operand order (the order of `fp_sources`),
+        // zero-padded: the FPU's positional inputs.
+        let mut operands = [0u64; 3];
+        for (operand, &i) in operands.iter_mut().zip(&distinct_of[..sources.len()]) {
+            *operand = values[i];
+        }
+        // The FP destination as a writeback target.
+        let fp_dest = dest_class.map(|(frd, class)| match class {
+            RegClass::Stream(dm) => WbDest::Stream(dm),
+            RegClass::Chained => WbDest::Chained(frd),
+            RegClass::Plain => WbDest::Plain(frd),
+        });
 
         // --- dispatch ----------------------------------------------------
         self.seq.consume();
@@ -540,73 +539,44 @@ impl FpSubsystem {
             self.apply_chained_drain(class, counters);
         }
 
-        match inst {
-            Instruction::FpStore { fmt, frs2, .. } => {
+        match (inst, fp.fpu) {
+            (Instruction::FpStore { fmt, .. }, _) => {
                 counters.fp_mem_ops += 1;
                 let addr = fp.addr.expect("store address resolved at offload");
                 self.lsu = FpLsu::StorePending {
                     addr,
-                    bits: lookup(frs2),
+                    bits: operands[0],
                     fmt,
                 };
             }
-            Instruction::FpLoad { fmt, frd, .. } => {
+            (Instruction::FpLoad { fmt, frd, .. }, _) => {
                 counters.fp_mem_ops += 1;
                 let addr = fp.addr.expect("load address resolved at offload");
-                let dest = match self.classify(frd) {
-                    RegClass::Stream(_) => {
-                        return Err(SimError::LoadIntoStreamRegister { reg: frd })
-                    }
-                    RegClass::Chained => WbDest::Chained(frd),
-                    RegClass::Plain => WbDest::Plain(frd),
+                let dest = match fp_dest.expect("a load writes its fp register") {
+                    WbDest::Stream(_) => return Err(SimError::LoadIntoStreamRegister { reg: frd }),
+                    dest => dest,
                 };
                 self.pending[frd.index() as usize] += 1;
                 self.lsu = FpLsu::LoadPending { addr, dest, fmt };
             }
-            _ => {
-                let (op, fmt) = FpuOp::from_instruction(&inst).expect("compute op");
-                // Build positional operands.
-                let srcs: [u64; 3] = match inst {
-                    Instruction::FpBin { frs1, frs2, .. } => [lookup(frs1), lookup(frs2), 0],
-                    Instruction::FpFma {
-                        frs1, frs2, frs3, ..
-                    } => [lookup(frs1), lookup(frs2), lookup(frs3)],
-                    Instruction::FpSqrt { frs1, .. } => [lookup(frs1), 0, 0],
-                    Instruction::FpCmp { frs1, frs2, .. } => [lookup(frs1), lookup(frs2), 0],
-                    Instruction::FpCvt { op: c, frs1, .. } => {
-                        if c.reads_int() {
-                            [0, 0, 0]
-                        } else {
-                            [lookup(frs1), 0, 0]
-                        }
-                    }
-                    _ => unreachable!("memory ops handled above"),
-                };
+            (_, Some(decoded)) => {
+                let op = decoded.op;
                 let int_src = fp.int_operand.unwrap_or(0);
-                let out = evaluate(op, fmt, srcs, int_src);
+                let out = evaluate(op, decoded.fmt, operands, int_src);
                 let bits = match out {
                     FpuOutput::Fp(b) => b,
                     FpuOutput::Int(v) => u64::from(v),
                 };
                 let dest = match inst {
                     Instruction::FpCmp { rd, .. } => WbDest::Int(rd),
-                    Instruction::FpCvt { op: c, rd, frd, .. } => {
-                        if c.writes_int() {
-                            WbDest::Int(rd)
-                        } else {
-                            self.fp_dest_kind(frd)
-                        }
-                    }
-                    _ => {
-                        let frd = inst.fp_dest().expect("compute op writes fp");
-                        self.fp_dest_kind(frd)
-                    }
+                    Instruction::FpCvt { op: c, rd, .. } if c.writes_int() => WbDest::Int(rd),
+                    _ => fp_dest.expect("compute op writes fp"),
                 };
                 if let WbDest::Plain(r) | WbDest::Chained(r) = dest {
                     self.pending[r.index() as usize] += 1;
                 }
                 let wb = WbOp { dest, bits };
-                match op.class() {
+                match decoded.class {
                     OpClass::AddMul => self.addmul.issue(wb),
                     OpClass::NonComp => self.noncomp.issue(wb),
                     OpClass::Conv => self.conv.issue(wb),
@@ -615,16 +585,9 @@ impl FpSubsystem {
                 counters.fpu_issue_cycles += 1;
                 counters.flops += flop_count(op);
             }
+            (_, None) => unreachable!("offloaded non-memory ops decode to an FPU op"),
         }
         Ok(IssueOutcome::Issued(inst))
-    }
-
-    fn fp_dest_kind(&self, frd: FpReg) -> WbDest {
-        match self.classify(frd) {
-            RegClass::Stream(dm) => WbDest::Stream(dm),
-            RegClass::Chained => WbDest::Chained(frd),
-            RegClass::Plain => WbDest::Plain(frd),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -792,11 +755,7 @@ pub(crate) fn offload_item(
     addr: Option<u32>,
     int_operand: Option<u32>,
 ) -> SeqItem {
-    SeqItem::Fp(OffloadedFp {
-        inst,
-        addr,
-        int_operand,
-    })
+    SeqItem::Fp(OffloadedFp::new(inst, addr, int_operand))
 }
 
 #[cfg(test)]

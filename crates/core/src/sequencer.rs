@@ -8,14 +8,16 @@
 //! the FP loop runs from the sequence buffer while the integer core
 //! executes the surrounding address arithmetic and branches.
 
-use sc_fpu::BoundedFifo;
-use sc_isa::Instruction;
+use sc_fpu::{BoundedFifo, FpuOp, OpClass};
+use sc_isa::{FpFormat, Instruction};
 
 /// An FP instruction offloaded from the integer core.
 ///
 /// The integer side resolves everything it owns at offload time: memory
 /// addresses for FP loads/stores and the integer source operand of
-/// int→float conversions/moves.
+/// int→float conversions/moves. The FPU op is decoded here too, once, so
+/// the issue stage never re-decodes an instruction it retries or a FREP
+/// body it replays (register staggering renames registers only).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadedFp {
     /// The instruction.
@@ -24,6 +26,37 @@ pub struct OffloadedFp {
     pub addr: Option<u32>,
     /// Resolved integer source operand (`fcvt.d.w`, `fmv.w.x`, ...).
     pub int_operand: Option<u32>,
+    /// The decoded FPU op; `None` for FP loads/stores, which use the LSU.
+    /// Private to the crate so every value comes from
+    /// [`OffloadedFp::new`] and matches `inst`.
+    pub(crate) fpu: Option<FpuDecoded>,
+}
+
+/// An FPU compute op as the issue stage needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FpuDecoded {
+    pub(crate) op: FpuOp,
+    pub(crate) fmt: FpFormat,
+    /// The functional unit it executes on.
+    pub(crate) class: OpClass,
+}
+
+impl OffloadedFp {
+    /// Packages `inst` with its resolved integer-side operands, decoding
+    /// the FPU op once.
+    #[must_use]
+    pub fn new(inst: Instruction, addr: Option<u32>, int_operand: Option<u32>) -> Self {
+        OffloadedFp {
+            inst,
+            addr,
+            int_operand,
+            fpu: FpuOp::from_instruction(&inst).map(|(op, fmt)| FpuDecoded {
+                op,
+                fmt,
+                class: op.class(),
+            }),
+        }
+    }
 }
 
 /// Items travelling through the offload queue.
@@ -57,6 +90,10 @@ pub enum SeqError {
         /// Hardware buffer capacity.
         capacity: usize,
     },
+    /// A FREP marker reached the sequencer inside another FREP's body.
+    /// The assembler never emits one, but a decoded instruction stream
+    /// (`Program::from_words`) can.
+    NestedFrep,
 }
 
 impl std::fmt::Display for SeqError {
@@ -68,6 +105,7 @@ impl std::fmt::Display for SeqError {
                     "frep body of {n_instr} exceeds sequence buffer of {capacity}"
                 )
             }
+            SeqError::NestedFrep => f.write_str("frep nested inside another frep body"),
         }
     }
 }
@@ -170,7 +208,8 @@ impl Sequencer {
     /// # Errors
     ///
     /// Returns [`SeqError::BodyTooLarge`] when a FREP marker requests more
-    /// body instructions than the buffer holds.
+    /// body instructions than the buffer holds, and
+    /// [`SeqError::NestedFrep`] when a marker arrives inside a FREP body.
     pub fn peek(&mut self) -> Result<Option<OffloadedFp>, SeqError> {
         // Resolve any marker at the queue head first (zero-cycle in Snitch:
         // the marker is consumed by the sequencer, not issued).
@@ -212,19 +251,13 @@ impl Sequencer {
                     Some(&SeqItem::Fp(fp)) => return Ok(Some(fp)),
                     None => return Ok(None),
                 },
-                SeqState::Capture {
-                    stagger_max: _,
-                    stagger_mask: _,
-                    ..
-                } => {
-                    match self.inbox.front() {
+                SeqState::Capture { .. } => {
+                    return match self.inbox.front() {
                         // First iteration: issue as-is (stagger offset 0).
-                        Some(&SeqItem::Fp(fp)) => return Ok(Some(fp)),
-                        Some(&SeqItem::Frep { .. }) => {
-                            unreachable!("nested frep rejected by the assembler")
-                        }
-                        None => return Ok(None),
-                    }
+                        Some(&SeqItem::Fp(fp)) => Ok(Some(fp)),
+                        Some(&SeqItem::Frep { .. }) => Err(SeqError::NestedFrep),
+                        None => Ok(None),
+                    };
                 }
                 SeqState::Replay {
                     pos,
@@ -238,24 +271,20 @@ impl Sequencer {
                     return Ok(Some(apply_stagger(fp, offset, stagger_mask)));
                 }
                 SeqState::Inner {
-                    rep_done: _,
+                    rep_done,
                     stagger_max,
                     stagger_mask,
                     ..
-                } => match self.inbox.front() {
-                    Some(&SeqItem::Fp(fp)) => {
-                        let iter = match self.state {
-                            SeqState::Inner { rep_done, .. } => rep_done,
-                            _ => unreachable!(),
-                        };
-                        let offset = stagger_offset(iter, stagger_max);
-                        return Ok(Some(apply_stagger(fp, offset, stagger_mask)));
-                    }
-                    Some(&SeqItem::Frep { .. }) => {
-                        unreachable!("nested frep rejected by the assembler")
-                    }
-                    None => return Ok(None),
-                },
+                } => {
+                    return match self.inbox.front() {
+                        Some(&SeqItem::Fp(fp)) => {
+                            let offset = stagger_offset(rep_done, stagger_max);
+                            Ok(Some(apply_stagger(fp, offset, stagger_mask)))
+                        }
+                        Some(&SeqItem::Frep { .. }) => Err(SeqError::NestedFrep),
+                        None => Ok(None),
+                    };
+                }
             }
         }
     }
@@ -383,6 +412,7 @@ fn stagger_offset(iter: u32, stagger_max: u8) -> u8 {
 
 /// Applies Snitch register staggering: selected operand register indices
 /// are offset by `offset` (mod 32).
+#[inline]
 fn apply_stagger(fp: OffloadedFp, offset: u8, mask: u8) -> OffloadedFp {
     use sc_isa::FpReg;
     if offset == 0 || mask == 0 {
@@ -426,20 +456,20 @@ fn apply_stagger(fp: OffloadedFp, offset: u8, mask: u8) -> OffloadedFp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_isa::{FpBinOp, FpFormat, FpReg};
+    use sc_isa::{FpBinOp, FpReg};
 
     fn fp(i: u8) -> OffloadedFp {
-        OffloadedFp {
-            inst: Instruction::FpBin {
+        OffloadedFp::new(
+            Instruction::FpBin {
                 op: FpBinOp::Add,
                 fmt: FpFormat::Double,
                 frd: FpReg::new(i),
                 frs1: FpReg::FT0,
                 frs2: FpReg::FT1,
             },
-            addr: None,
-            int_operand: None,
-        }
+            None,
+            None,
+        )
     }
 
     fn drain(seq: &mut Sequencer) -> Vec<OffloadedFp> {
@@ -534,6 +564,31 @@ mod tests {
                 capacity: 4
             }
         );
+    }
+
+    #[test]
+    fn nested_frep_is_reported() {
+        for is_outer in [true, false] {
+            let mut s = Sequencer::new(8, 16);
+            let marker = SeqItem::Frep {
+                is_outer,
+                n_instr: 2,
+                n_rep: 2,
+                stagger_max: 0,
+                stagger_mask: 0,
+            };
+            s.offload(marker);
+            s.offload(SeqItem::Fp(fp(3)));
+            s.offload(marker);
+            assert_eq!(s.peek().unwrap(), Some(fp(3)));
+            s.consume();
+            if !is_outer {
+                // An inner FREP repeats the instruction before moving on.
+                assert_eq!(s.peek().unwrap(), Some(fp(3)));
+                s.consume();
+            }
+            assert_eq!(s.peek().unwrap_err(), SeqError::NestedFrep);
+        }
     }
 
     #[test]

@@ -200,7 +200,9 @@ pub struct Core {
     program: Program,
     fp: FpSubsystem,
     regs: [u32; 32],
-    int_pending: [bool; 32],
+    /// Integer registers an in-flight FP instruction will write (bit `i`
+    /// = `x{i}`; comparisons and fp→int moves).
+    int_pending: u32,
     pc: u32,
     state: IntState,
     csrs: CsrFile,
@@ -268,7 +270,7 @@ impl Core {
             program,
             cfg,
             regs: [0; 32],
-            int_pending: [false; 32],
+            int_pending: 0,
             pc: 0,
             state: IntState::Running,
             csrs: CsrFile::new(),
@@ -698,7 +700,7 @@ impl Core {
             if !wb.reg.is_zero() {
                 self.regs[wb.reg.index() as usize] = wb.value;
             }
-            self.int_pending[wb.reg.index() as usize] = false;
+            self.int_pending &= !(1 << wb.reg.index());
         }
 
         // Phase 2a: FP issue.
@@ -946,23 +948,16 @@ impl Core {
             IntState::Running => {}
         }
 
+        // Integer sources (and the destination) produced by in-flight
+        // FP instructions (comparisons/moves) must be waited for. An
+        // out-of-program pc has an empty mask and faults just below.
+        if self.program.int_regs_at(self.pc) & self.int_pending != 0 {
+            return Ok(None);
+        }
         let inst = self
             .program
             .fetch(self.pc)
             .ok_or(SimError::FetchOutOfProgram { pc: self.pc })?;
-
-        // Integer sources produced by in-flight FP instructions
-        // (comparisons/moves) must be waited for.
-        for src in inst.int_sources() {
-            if self.int_pending[src.index() as usize] {
-                return Ok(None);
-            }
-        }
-        if let Some(rd) = inst.int_dest() {
-            if self.int_pending[rd.index() as usize] {
-                return Ok(None);
-            }
-        }
 
         if inst.is_fp() {
             return self.offload_fp(inst);
@@ -1345,13 +1340,11 @@ impl Core {
         // FP instructions that write an integer register set a pending bit
         // the integer core synchronises on.
         if let Some(rd) = inst.int_dest() {
-            self.int_pending[rd.index() as usize] = true;
+            self.int_pending |= 1 << rd.index();
         }
-        self.fp.sequencer_mut().offload(SeqItem::Fp(OffloadedFp {
-            inst,
-            addr,
-            int_operand,
-        }));
+        self.fp
+            .sequencer_mut()
+            .offload(SeqItem::Fp(OffloadedFp::new(inst, addr, int_operand)));
         self.counters.fetches += 1;
         self.pc += 4;
         Ok(Some(inst))

@@ -2,8 +2,8 @@
 //! decoded back and executed must behave identically — the encoder, the
 //! decoder and the simulator agree on the ISA.
 
-use sc_core::{CoreConfig, Simulator};
-use sc_isa::{csr, parse_asm, FpReg, IntReg, Program};
+use sc_core::{CoreConfig, SeqError, SimError, Simulator};
+use sc_isa::{csr, encode, parse_asm, FpReg, Instruction, IntReg, Program};
 
 fn run_both(src: &str, setup: impl Fn(&mut Simulator)) -> (Simulator, Simulator) {
     let original = parse_asm(src).expect("parses");
@@ -137,4 +137,32 @@ fn staggered_frep_executes_through_the_simulator() {
     // 4 iterations, stagger_max 1 on rd: ft8 = f28, so writes f28, f29.
     assert_eq!(sim.fp_reg(FpReg::new(28)), 2.5);
     assert_eq!(sim.fp_reg(FpReg::new(29)), 2.5);
+}
+
+#[test]
+fn nested_frep_from_machine_code_is_a_sequencer_error() {
+    // The assembler never nests FREP blocks, but a raw word stream can:
+    // the second marker arrives inside the first one's body. Both FREP
+    // forms must end in a structured error, not a panic.
+    for inner_form in [false, true] {
+        let frep = |n_instr| Instruction::Frep {
+            is_outer: !inner_form,
+            max_rpt: IntReg::new(5),
+            n_instr,
+            stagger_max: 0,
+            stagger_mask: 0,
+        };
+        let fadd = parse_asm("fadd.d ft8, ft4, ft5").unwrap().code()[0];
+        let words: Vec<u32> = [frep(2), fadd, frep(1), fadd, fadd, Instruction::Ecall]
+            .iter()
+            .map(encode)
+            .collect();
+        let prog = Program::from_words(&words).expect("every word decodes");
+        let mut sim = Simulator::new(CoreConfig::new(), prog);
+        sim.set_int_reg(IntReg::new(5), 1);
+        assert!(matches!(
+            sim.run(1_000),
+            Err(SimError::Seq(SeqError::NestedFrep))
+        ));
+    }
 }

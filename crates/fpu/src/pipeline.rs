@@ -36,8 +36,13 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pipeline<T> {
-    /// `stages[0]` is the first execute stage; `stages[depth-1]` the last.
-    stages: Vec<Option<T>>,
+    /// The execute stages as a ring: stage `i` (0 = first, `depth-1` =
+    /// last) lives at `slots[(head + i) % depth]`, so shifting the whole
+    /// pipeline one stage is a rotation of `head`.
+    slots: Vec<Option<T>>,
+    head: usize,
+    /// Occupied execute stages.
+    in_stages: usize,
     /// The writeback slot; ops wait here for retirement.
     writeback: Option<T>,
     /// Op accepted this cycle, inserted into stage 0 at `advance()`.
@@ -58,7 +63,9 @@ impl<T> Pipeline<T> {
     pub fn new(depth: u32) -> Self {
         assert!(depth >= 1, "pipeline depth must be at least 1");
         Pipeline {
-            stages: (0..depth).map(|_| None).collect(),
+            slots: (0..depth).map(|_| None).collect(),
+            head: 0,
+            in_stages: 0,
             writeback: None,
             pending: None,
             blocked_cycles: 0,
@@ -69,16 +76,29 @@ impl<T> Pipeline<T> {
     /// Number of execute stages.
     #[must_use]
     pub fn depth(&self) -> u32 {
-        self.stages.len() as u32
+        self.slots.len() as u32
+    }
+
+    /// Ring index of execute stage `stage`.
+    #[inline]
+    fn slot(&self, stage: usize) -> usize {
+        let i = self.head + stage;
+        if i >= self.slots.len() {
+            i - self.slots.len()
+        } else {
+            i
+        }
     }
 
     /// The op currently in the writeback slot, if any.
     #[must_use]
+    #[inline]
     pub fn ready(&self) -> Option<&T> {
         self.writeback.as_ref()
     }
 
     /// Retires the writeback-slot op, freeing the pipeline to advance.
+    #[inline]
     pub fn take_ready(&mut self) -> Option<T> {
         self.writeback.take()
     }
@@ -90,14 +110,9 @@ impl<T> Pipeline<T> {
     /// pipeline shifts) or a bubble somewhere ahead lets the train
     /// behind it compress forward one stage.
     #[must_use]
+    #[inline]
     pub fn can_issue(&self) -> bool {
-        if self.pending.is_some() {
-            return false;
-        }
-        if self.stages[0].is_none() {
-            return true;
-        }
-        self.writeback.is_none() || self.stages.iter().any(Option::is_none)
+        self.pending.is_none() && (self.writeback.is_none() || self.in_stages < self.slots.len())
     }
 
     /// Accepts an op; it occupies stage 0 from the next `advance()` on.
@@ -105,6 +120,7 @@ impl<T> Pipeline<T> {
     /// # Panics
     ///
     /// Panics if [`Pipeline::can_issue`] is false.
+    #[inline]
     pub fn issue(&mut self, op: T) {
         assert!(self.can_issue(), "issue into a full pipeline");
         self.pending = Some(op);
@@ -124,37 +140,63 @@ impl<T> Pipeline<T> {
     /// consumer by a pipeline's worth of elements (a real wedge flushed
     /// out by DMA-timing jitter in the tiled multi-cluster runs, pinned
     /// by `sc-kernels`' backpressure tests).
+    ///
+    /// With the writeback slot free every stage shifts, so the ring
+    /// rotates in O(1); only a blocked writeback walks the stages.
+    #[inline]
     pub fn advance(&mut self) {
-        let depth = self.stages.len();
+        if self.in_stages == 0 && self.pending.is_none() {
+            // Nothing to move: an idle unit, or one op held in writeback.
+            self.blocked_cycles += u64::from(self.writeback.is_some());
+        } else {
+            self.shift();
+        }
+    }
+
+    /// [`Pipeline::advance`] with ops in the execute stages or pending.
+    fn shift(&mut self) {
+        let depth = self.slots.len();
         if self.writeback.is_none() {
-            self.writeback = self.stages[depth - 1].take();
+            let last = self.slot(depth - 1);
+            self.writeback = self.slots[last].take();
+            self.in_stages -= usize::from(self.writeback.is_some());
+            // The vacated last stage becomes stage 0.
+            self.head = last;
         } else {
             self.blocked_cycles += 1;
-        }
-        // Compress toward the first free slot: walking from the deep end,
-        // every empty stage pulls its predecessor, so the whole train
-        // behind a bubble advances one stage in one cycle.
-        for i in (1..depth).rev() {
-            if self.stages[i].is_none() {
-                self.stages[i] = self.stages[i - 1].take();
+            if self.in_stages > 0 && self.in_stages < depth {
+                // Compress toward the first free slot: walking from the
+                // deep end, every empty stage pulls its predecessor, so
+                // the whole train behind a bubble advances one stage.
+                for i in (1..depth).rev() {
+                    let (to, from) = (self.slot(i), self.slot(i - 1));
+                    if self.slots[to].is_none() {
+                        self.slots[to] = self.slots[from].take();
+                    }
+                }
             }
         }
         if let Some(op) = self.pending.take() {
-            debug_assert!(self.stages[0].is_none(), "stage 0 must be free after shift");
-            self.stages[0] = Some(op);
+            let first = self.slot(0);
+            debug_assert!(
+                self.slots[first].is_none(),
+                "stage 0 must be free after shift"
+            );
+            self.slots[first] = Some(op);
+            self.in_stages += 1;
         }
     }
 
     /// Ops currently in flight (execute stages + writeback + pending).
     #[must_use]
+    #[inline]
     pub fn occupancy(&self) -> usize {
-        self.stages.iter().filter(|s| s.is_some()).count()
-            + usize::from(self.writeback.is_some())
-            + usize::from(self.pending.is_some())
+        self.in_stages + usize::from(self.writeback.is_some()) + usize::from(self.pending.is_some())
     }
 
     /// Whether no ops are in flight.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.occupancy() == 0
     }
@@ -177,7 +219,11 @@ impl<T> Pipeline<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.writeback
             .iter()
-            .chain(self.stages.iter().rev().flatten())
+            .chain(
+                (0..self.slots.len())
+                    .rev()
+                    .filter_map(|i| self.slots[self.slot(i)].as_ref()),
+            )
             .chain(self.pending.iter())
     }
 }
@@ -204,6 +250,7 @@ impl<T> IterativeUnit<T> {
 
     /// Whether the unit can accept a new op (idle and result drained).
     #[must_use]
+    #[inline]
     pub fn can_issue(&self) -> bool {
         self.current.is_none() && self.done.is_none()
     }
@@ -221,17 +268,20 @@ impl<T> IterativeUnit<T> {
 
     /// The finished op awaiting retirement, if any.
     #[must_use]
+    #[inline]
     pub fn ready(&self) -> Option<&T> {
         self.done.as_ref()
     }
 
     /// Retires the finished op.
+    #[inline]
     pub fn take_ready(&mut self) -> Option<T> {
         self.done.take()
     }
 
     /// Ends the cycle: counts down; on reaching zero the op moves to the
     /// ready slot (where it may wait indefinitely, holding the unit).
+    #[inline]
     pub fn advance(&mut self) {
         if let Some((_, cycles)) = self.current.as_mut() {
             *cycles -= 1;
@@ -246,6 +296,7 @@ impl<T> IterativeUnit<T> {
 
     /// Whether any op is executing or waiting for retirement.
     #[must_use]
+    #[inline]
     pub fn is_busy(&self) -> bool {
         self.current.is_some() || self.done.is_some()
     }
@@ -304,12 +355,14 @@ impl<T> BoundedFifo<T> {
 
     /// Whether the FIFO holds no elements.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
     /// Whether the FIFO is at capacity.
     #[must_use]
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.items.len() == self.capacity
     }
@@ -320,6 +373,7 @@ impl<T> BoundedFifo<T> {
     ///
     /// Panics if the FIFO is full — callers must check [`BoundedFifo::is_full`]
     /// (that check is the hardware backpressure signal).
+    #[inline]
     pub fn push(&mut self, item: T) {
         assert!(!self.is_full(), "push into a full FIFO");
         self.items.push_back(item);
@@ -327,12 +381,14 @@ impl<T> BoundedFifo<T> {
     }
 
     /// Pops the oldest element.
+    #[inline]
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
     }
 
     /// Peeks at the oldest element.
     #[must_use]
+    #[inline]
     pub fn front(&self) -> Option<&T> {
         self.items.front()
     }

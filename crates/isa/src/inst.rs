@@ -591,6 +591,7 @@ impl Instruction {
     /// from the integer core in the pseudo dual-issue scheme). FP loads and
     /// stores are offloaded too: they execute on the FP side's LSU port.
     #[must_use]
+    #[inline]
     pub fn is_fp(&self) -> bool {
         matches!(
             self,
@@ -617,6 +618,7 @@ impl Instruction {
     /// reinterpretation, which the core applies on top), in operand
     /// order.
     #[must_use]
+    #[inline]
     pub fn fp_sources(&self) -> RegList<FpReg> {
         match *self {
             Instruction::FpStore { frs2, .. } => RegList::from_array([frs2, frs2, frs2], 1),
@@ -637,6 +639,7 @@ impl Instruction {
 
     /// FP register written by this instruction, if any.
     #[must_use]
+    #[inline]
     pub fn fp_dest(&self) -> Option<FpReg> {
         match *self {
             Instruction::FpLoad { frd, .. }
@@ -652,7 +655,30 @@ impl Instruction {
     /// `x0` excluded (it is hard-wired and never waited for).
     #[must_use]
     pub fn int_sources(&self) -> RegList<IntReg> {
-        let (regs, len) = match *self {
+        let (regs, len) = self.int_source_fields();
+        let mut list = RegList::from_array([IntReg::ZERO; 3], 0);
+        for &r in &regs[..len] {
+            if !r.is_zero() {
+                list.push(r);
+            }
+        }
+        list
+    }
+
+    /// The integer registers this instruction reads or writes, as a
+    /// bitmask (bit `i` = `x{i}`; `x0` never set): the registers of
+    /// [`Instruction::int_sources`] and [`Instruction::int_dest`].
+    #[must_use]
+    pub(crate) fn int_regs_mask(&self) -> u32 {
+        let (regs, len) = self.int_source_fields();
+        let sources = regs[..len].iter().fold(0, |mask, r| mask | 1 << r.index());
+        let dest = self.int_dest().map_or(0, |rd| 1 << rd.index());
+        (sources | dest) & !1
+    }
+
+    /// The integer source operand fields, `x0` included.
+    fn int_source_fields(&self) -> ([IntReg; 2], usize) {
+        match *self {
             Instruction::Jalr { rs1, .. }
             | Instruction::Load { rs1, .. }
             | Instruction::OpImm { rs1, .. }
@@ -670,18 +696,12 @@ impl Instruction {
             | Instruction::Op { rs1, rs2, .. }
             | Instruction::MulDiv { rs1, rs2, .. } => ([rs1, rs2], 2),
             _ => ([IntReg::ZERO; 2], 0),
-        };
-        let mut list = RegList::from_array([IntReg::ZERO; 3], 0);
-        for &r in &regs[..len] {
-            if !r.is_zero() {
-                list.push(r);
-            }
         }
-        list
     }
 
     /// Integer register written by this instruction, if any.
     #[must_use]
+    #[inline]
     pub fn int_dest(&self) -> Option<IntReg> {
         let rd = match *self {
             Instruction::Lui { rd, .. }

@@ -21,6 +21,11 @@ use crate::inst::Instruction;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     code: Vec<Instruction>,
+    /// Per instruction, the integer registers it reads or writes as a
+    /// bitmask (bit `i` = `x{i}`, `x0` never set), computed once here so
+    /// a core checking an instruction against its in-flight integer
+    /// writes neither re-decodes it nor allocates on a program reload.
+    int_regs: Vec<u32>,
     symbols: BTreeMap<String, u32>,
 }
 
@@ -29,7 +34,12 @@ impl Program {
     /// (label → byte address).
     #[must_use]
     pub fn new(code: Vec<Instruction>, symbols: BTreeMap<String, u32>) -> Self {
-        Program { code, symbols }
+        let int_regs = code.iter().map(Instruction::int_regs_mask).collect();
+        Program {
+            code,
+            int_regs,
+            symbols,
+        }
     }
 
     /// Number of instructions.
@@ -48,11 +58,24 @@ impl Program {
     ///
     /// Misaligned addresses return `None`.
     #[must_use]
+    #[inline]
     pub fn fetch(&self, pc: u32) -> Option<Instruction> {
         if !pc.is_multiple_of(4) {
             return None;
         }
         self.code.get((pc / 4) as usize).copied()
+    }
+
+    /// The integer registers the instruction at byte address `pc` reads
+    /// or writes, as a bitmask (bit `i` = `x{i}`; `x0` is never set).
+    /// Zero when `pc` is misaligned or out of range.
+    #[must_use]
+    #[inline]
+    pub fn int_regs_at(&self, pc: u32) -> u32 {
+        if !pc.is_multiple_of(4) {
+            return 0;
+        }
+        self.int_regs.get((pc / 4) as usize).copied().unwrap_or(0)
     }
 
     /// The instructions as a slice.
@@ -89,10 +112,7 @@ impl Program {
             .iter()
             .map(|w| crate::decode(*w))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Program {
-            code,
-            symbols: BTreeMap::new(),
-        })
+        Ok(Program::new(code, BTreeMap::new()))
     }
 
     /// Renders a disassembly listing with addresses and labels.
@@ -137,6 +157,22 @@ mod tests {
         );
         assert!(prog.fetch(2).is_none());
         assert_eq!(prog.fetch(4), Some(Instruction::Ecall));
+    }
+
+    #[test]
+    fn int_reg_masks_cover_sources_and_dest_but_not_x0() {
+        let mut b = ProgramBuilder::new();
+        b.addi(IntReg::new(1), IntReg::new(2), 42);
+        b.addi(IntReg::ZERO, IntReg::ZERO, 0);
+        b.ecall();
+        let prog = b.build().unwrap();
+        assert_eq!(prog.int_regs_at(0), 0b110);
+        assert_eq!(prog.int_regs_at(4), 0);
+        assert_eq!(prog.int_regs_at(8), 0);
+        assert_eq!(prog.int_regs_at(2), 0, "misaligned");
+        assert_eq!(prog.int_regs_at(12), 0, "out of range");
+        let decoded = Program::from_words(&prog.to_words()).unwrap();
+        assert_eq!(decoded.int_regs_at(0), 0b110);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! `Instruction::fp_sources` / `int_sources` return an inline
 //! `RegList`; this pins it to the `Vec`-building reference the lists
-//! replaced, over 100,000 random decodable instruction words.
+//! replaced, over 100,000 random decodable instruction words, and pins
+//! `Program`'s precomputed integer-register masks to the same reference.
 
 use proptest::test_runner::{seed_from_name, TestRng};
-use sc_isa::{decode, CsrSrc, FpReg, Instruction, IntReg};
+use sc_isa::{decode, CsrSrc, FpReg, Instruction, IntReg, Program};
 
 const WORDS: usize = 100_000;
 
@@ -57,6 +58,7 @@ fn reg_lists_match_the_vec_reference_on_random_words() {
     let mut rng = TestRng::new(seed_from_name("reg_lists_match_the_vec_reference"));
     let (mut checked, mut drawn) = (0, 0u64);
     let (mut fp_lists, mut int_lists, mut zero_filtered) = (0, 0, 0);
+    let mut code = Vec::with_capacity(WORDS);
     while checked < WORDS {
         drawn += 1;
         assert!(drawn < 100 * WORDS as u64, "too few decodable words");
@@ -74,6 +76,15 @@ fn reg_lists_match_the_vec_reference_on_random_words() {
         fp_lists += usize::from(!fp.is_empty());
         int_lists += usize::from(!int.is_empty());
         zero_filtered += usize::from(inst.int_sources().len() < raw_int_source_count(&inst));
+        code.push(inst);
+    }
+    let program = Program::new(code, Default::default());
+    for (pc, inst) in (0u32..).step_by(4).zip(program.code()) {
+        let want = int_sources_reference(inst)
+            .into_iter()
+            .chain(inst.int_dest())
+            .fold(0, |mask, r| mask | 1 << r.index());
+        assert_eq!(program.int_regs_at(pc), want, "int_regs_at of {inst}");
     }
     // The random words must exercise every shape the lists take.
     assert!(fp_lists > 1_000, "{fp_lists} words with FP sources");

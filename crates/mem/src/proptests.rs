@@ -177,6 +177,91 @@ proptest! {
     }
 }
 
+/// The draws behind one [`shaped_batch`]: a shape, per-request
+/// `(line, random bank, write)` and the first port.
+type BatchDraws = (u8, Vec<(u32, u32, bool)>, u8);
+
+fn batch_draws() -> impl Strategy<Value = BatchDraws> {
+    (
+        0u8..3,
+        proptest::collection::vec((0u32..64, 0u32..1024, any::<bool>()), 0..10),
+        any::<u8>(),
+    )
+}
+
+/// A batch shaped for the arbiter's two paths: consecutive ports from a
+/// random start (a core's namespace), each on its own bank (shape 0),
+/// the second request on the first one's bank (shape 1, one conflict)
+/// or on random banks (shape 2, conflicts likely).
+fn shaped_batch(cfg: TcdmConfig, (shape, draws, port0): &BatchDraws) -> Vec<Request> {
+    draws
+        .iter()
+        .zip(0u32..)
+        .map(|(&(line, random_bank, write), i)| {
+            let bank = match shape {
+                0 => i,
+                1 if i == 1 => 0,
+                1 => i,
+                _ => random_bank,
+            } % cfg.banks;
+            Request {
+                port: PortId(port0.wrapping_add(i as u8)),
+                addr: (line * cfg.banks + bank) * cfg.bank_width,
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+            }
+        })
+        .collect()
+}
+
+/// Geometries with and without the bitmask fast path: 128 banks fill
+/// the `u128` exactly, 256 banks and a 12-byte bank word fall back to
+/// division.
+fn arbiter_geometries() -> [TcdmConfig; 6] {
+    [
+        TcdmConfig::new().with_size(8192).with_banks(8),
+        TcdmConfig::new().with_size(8192).with_banks(4),
+        TcdmConfig::new(),
+        TcdmConfig::new().with_size(1 << 16).with_banks(128),
+        TcdmConfig::new().with_size(1 << 16).with_banks(256),
+        TcdmConfig {
+            size: 8 * 12 * 64,
+            banks: 8,
+            bank_width: 12,
+        },
+    ]
+}
+
+proptest! {
+    /// The conflict-free fast path of `arbitrate_into` decides exactly
+    /// what the rotated-priority sort path decides — grants, per-port
+    /// and per-bank statistics and the round-robin pointer — on every
+    /// batch, conflicting or not, grouped or not.
+    #[test]
+    fn tcdm_fast_path_matches_the_sort_path(
+        geometry in 0usize..6,
+        batches in proptest::collection::vec(batch_draws(), 1..12),
+        group in prop_oneof![Just(0u8), Just(1), Just(2), Just(4)],
+    ) {
+        let cfg = arbiter_geometries()[geometry];
+        let mut fast = Tcdm::new(cfg);
+        fast.set_port_group_size(group);
+        let mut sorted = fast.clone();
+        let (mut fast_grants, mut sorted_grants) = (Vec::new(), Vec::new());
+        for draws in &batches {
+            let batch = shaped_batch(cfg, draws);
+            fast.arbitrate_into(&batch, &mut fast_grants);
+            sorted.arbitrate_sorted(&batch, &mut sorted_grants);
+            prop_assert_eq!(&fast_grants, &sorted_grants);
+            prop_assert_eq!(fast.rr_next(), sorted.rr_next());
+        }
+        prop_assert_eq!(fast.stats(), sorted.stats());
+    }
+}
+
 /// One cluster's beat per cycle at most — the shape the system actually
 /// drives the L2 with (each cluster's DMA engine issues at most one
 /// beat; duplicates from the generator are dropped).

@@ -41,6 +41,7 @@ impl TcdmStats {
         }
     }
 
+    #[inline]
     pub(crate) fn record_grant(&mut self, port: PortId, bank: u32, kind: AccessKind) {
         match kind {
             AccessKind::Read => self.reads_by_port[usize::from(port.0)] += 1,

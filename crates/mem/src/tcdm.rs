@@ -212,8 +212,12 @@ pub struct Tcdm {
     /// ports second, so one core's many streams cannot starve another
     /// core's single LSU.
     port_group_size: u8,
-    /// [`Tcdm::arbitrate_into`]'s reused per-bank and priority-order
-    /// scratch.
+    /// `(shift, mask)` mapping an address to its bank when `bank_width`
+    /// and `banks` are powers of two and the banks fit one `u128`
+    /// bitmask — the geometry [`Tcdm::arbitrate_into`]'s conflict-free
+    /// fast path needs.
+    bank_bits: Option<(u32, u32)>,
+    /// The sort path's reused per-bank and priority-order scratch.
     bank_taken: Vec<bool>,
     order: Vec<usize>,
 }
@@ -232,8 +236,16 @@ impl Tcdm {
             cfg,
             rr_next: 0,
             port_group_size: 0,
+            bank_bits: (cfg.bank_width.is_power_of_two()
+                && cfg.banks.is_power_of_two()
+                && cfg.banks <= u128::BITS)
+                .then(|| (cfg.bank_width.trailing_zeros(), cfg.banks - 1)),
             bank_taken: vec![false; cfg.banks as usize],
-            order: Vec::new(),
+            // A cycle carries at most one request per port id, so the
+            // priority order never outgrows the 8-bit port space: sized
+            // once here, it does not grow on the first conflict however
+            // late that comes.
+            order: Vec::with_capacity(usize::from(u8::MAX) + 1),
         }
     }
 
@@ -268,10 +280,21 @@ impl Tcdm {
         self.stats = TcdmStats::new(self.cfg.banks);
     }
 
+    /// The round-robin pointer (equivalence tests of the two arbiter
+    /// paths).
+    #[cfg(test)]
+    pub(crate) fn rr_next(&self) -> u8 {
+        self.rr_next
+    }
+
     /// The bank serving a byte address.
     #[must_use]
+    #[inline]
     pub fn bank_of(&self, addr: u32) -> u32 {
-        (addr / self.cfg.bank_width) % self.cfg.banks
+        match self.bank_bits {
+            Some((shift, mask)) => (addr >> shift) & mask,
+            None => (addr / self.cfg.bank_width) % self.cfg.banks,
+        }
     }
 
     /// Arbitrates one cycle of requests.
@@ -296,6 +319,38 @@ impl Tcdm {
     /// Granted requests are counted in the statistics; data movement is
     /// performed separately by the caller through the functional API.
     pub fn arbitrate_into(&mut self, requests: &[Request], grants: &mut Vec<bool>) {
+        grants.clear();
+        if let Some((shift, mask)) = self.bank_bits {
+            // Conflict-free fast path: when every request hits a
+            // distinct bank, priority order cannot matter — everything
+            // is granted, and the statistics are per-port and per-bank
+            // counts, which do not depend on the order of recording.
+            let mut taken = 0u128;
+            let distinct = requests.iter().all(|r| {
+                let bit = 1u128 << ((r.addr >> shift) & mask);
+                let free = taken & bit == 0;
+                taken |= bit;
+                free
+            });
+            if distinct {
+                grants.resize(requests.len(), true);
+                for r in requests {
+                    self.stats
+                        .record_grant(r.port, (r.addr >> shift) & mask, r.kind);
+                }
+                if !requests.is_empty() {
+                    self.rr_next = self.rr_next.wrapping_add(1);
+                }
+                return;
+            }
+        }
+        self.arbitrate_sorted(requests, grants);
+    }
+
+    /// The general arbiter: grants in rotated priority order, one request
+    /// per bank. [`Tcdm::arbitrate_into`] takes it for cycles with a bank
+    /// conflict or a geometry without a bitmask mapping.
+    pub(crate) fn arbitrate_sorted(&mut self, requests: &[Request], grants: &mut Vec<bool>) {
         grants.clear();
         grants.resize(requests.len(), false);
         self.bank_taken.fill(false);
@@ -360,18 +415,21 @@ impl Tcdm {
 
     /// The `width` bytes at `addr`, after the alignment and bounds
     /// checks.
+    #[inline]
     fn bytes(&self, addr: u32, width: u32) -> Result<&[u8], MemError> {
         self.check(addr, width)?;
         let off = (addr % PAGE_BYTES) as usize;
         Ok(&self.pages[(addr / PAGE_BYTES) as usize][off..off + width as usize])
     }
 
+    #[inline]
     fn bytes_mut(&mut self, addr: u32, width: u32) -> Result<&mut [u8], MemError> {
         self.check(addr, width)?;
         let off = (addr % PAGE_BYTES) as usize;
         Ok(&mut self.pages[(addr / PAGE_BYTES) as usize][off..off + width as usize])
     }
 
+    #[inline]
     fn check(&self, addr: u32, width: u32) -> Result<(), MemError> {
         if !addr.is_multiple_of(width) {
             return Err(MemError::Misaligned { addr, width });
@@ -394,6 +452,7 @@ impl Tcdm {
     /// # Errors
     ///
     /// Fails if the access is misaligned or out of bounds.
+    #[inline]
     pub fn read_u64(&self, addr: u32) -> Result<u64, MemError> {
         Ok(u64::from_le_bytes(
             self.bytes(addr, 8)?.try_into().expect("8 bytes"),
@@ -405,6 +464,7 @@ impl Tcdm {
     /// # Errors
     ///
     /// Fails if the access is misaligned or out of bounds.
+    #[inline]
     pub fn write_u64(&mut self, addr: u32, value: u64) -> Result<(), MemError> {
         self.bytes_mut(addr, 8)?
             .copy_from_slice(&value.to_le_bytes());

@@ -116,8 +116,17 @@ impl AddrGen {
 
     /// Whether all addresses have been produced.
     #[must_use]
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.exhausted
+    }
+
+    /// The address the next [`Iterator::next`] call will produce, without
+    /// advancing the walk.
+    #[must_use]
+    #[inline]
+    pub fn peek_addr(&self) -> Option<u32> {
+        (!self.exhausted).then_some(self.current as u32)
     }
 
     /// Elements remaining (including repetitions).
@@ -143,6 +152,7 @@ impl AddrGen {
 impl Iterator for AddrGen {
     type Item = u32;
 
+    #[inline]
     fn next(&mut self) -> Option<u32> {
         if self.exhausted {
             return None;
@@ -236,6 +246,7 @@ mod tests {
         let pat = AffinePattern::from_loops(0, &[(0, 8)]);
         let mut g = AddrGen::new(pat);
         assert!(g.is_exhausted());
+        assert_eq!(g.peek_addr(), None);
         assert_eq!(g.next(), None);
         assert_eq!(g.remaining(), 0);
     }

@@ -108,9 +108,12 @@ pub struct DataMover {
     index: u8,
     port: PortId,
     fifo_capacity: usize,
-    /// (value, ready) pairs: `ready=false` entries model the 1-cycle SRAM
-    /// latency — granted this cycle, poppable next cycle.
-    fifo: VecDeque<(u64, bool)>,
+    fifo: VecDeque<u64>,
+    /// Whether the back FIFO entry is still in the SRAM landing slot:
+    /// granted this cycle, poppable from the next. At most one element
+    /// lands per cycle and it is always the newest, so one flag models
+    /// the 1-cycle SRAM latency of the whole FIFO.
+    landing: bool,
     gen: Option<AddrGen>,
     dir: StreamDir,
     /// Indirect-gather state (SARIS extension); `None` = affine mode.
@@ -152,6 +155,7 @@ impl DataMover {
             port,
             fifo_capacity,
             fifo: VecDeque::new(),
+            landing: false,
             gen: None,
             dir: StreamDir::Read,
             indirect: None,
@@ -161,6 +165,7 @@ impl DataMover {
 
     /// This mover's index (0–2 for `ft0`–`ft2`).
     #[must_use]
+    #[inline]
     pub fn index(&self) -> u8 {
         self.index
     }
@@ -209,6 +214,7 @@ impl DataMover {
     /// Whether the armed stream has delivered/accepted everything and, for
     /// writes, drained to memory.
     #[must_use]
+    #[inline]
     pub fn is_done(&self) -> bool {
         let indirect_pending = self
             .indirect
@@ -234,7 +240,7 @@ impl DataMover {
         self.gen = Some(AddrGen::new(pattern));
         self.dir = dir;
         self.indirect = None;
-        self.fifo.clear();
+        self.clear_fifo();
         Ok(())
     }
 
@@ -261,7 +267,7 @@ impl DataMover {
             pending_idx: VecDeque::new(),
             unpacked: 0,
         });
-        self.fifo.clear();
+        self.clear_fifo();
         Ok(())
     }
 
@@ -275,11 +281,23 @@ impl DataMover {
     pub fn disarm(&mut self) {
         self.gen = None;
         self.indirect = None;
+        self.clear_fifo();
+    }
+
+    fn clear_fifo(&mut self) {
         self.fifo.clear();
+        self.landing = false;
+    }
+
+    /// Whether the FIFO's oldest entry has left the landing slot.
+    #[inline]
+    fn front_ready(&self) -> bool {
+        self.fifo.len() > usize::from(self.landing)
     }
 
     /// Decides this cycle's memory action. `request` and `apply_grant`
     /// both call this, so the grant always matches the request.
+    #[inline]
     fn next_action(&self) -> Option<Action> {
         let gen = self.gen.as_ref()?;
         if let Some(st) = &self.indirect {
@@ -288,36 +306,25 @@ impl DataMover {
                 if let Some(&idx) = st.pending_idx.front() {
                     return Some(Action::FetchData(st.cfg.address_of(idx)));
                 }
-                if !gen.is_exhausted()
-                    && st.pending_idx.len() < st.cfg.idx_width.per_word() as usize
-                {
-                    let mut peek = gen.clone();
-                    return peek.next().map(Action::FetchIndexWord);
+                if st.pending_idx.len() < st.cfg.idx_width.per_word() as usize {
+                    return gen.peek_addr().map(Action::FetchIndexWord);
                 }
             }
             return None;
         }
         match self.dir {
-            StreamDir::Read => {
-                if gen.is_exhausted() || self.fifo.len() >= self.fifo_capacity {
-                    None
-                } else {
-                    let mut peek = gen.clone();
-                    peek.next().map(Action::FetchData)
-                }
+            StreamDir::Read if self.fifo.len() < self.fifo_capacity => {
+                gen.peek_addr().map(Action::FetchData)
             }
-            StreamDir::Write => match self.fifo.front() {
-                Some(&(_, true)) => {
-                    let mut peek = gen.clone();
-                    peek.next().map(Action::WriteData)
-                }
-                _ => None,
-            },
+            StreamDir::Read => None,
+            StreamDir::Write if self.front_ready() => gen.peek_addr().map(Action::WriteData),
+            StreamDir::Write => None,
         }
     }
 
     /// The memory request this mover wants to place this cycle, if any.
     #[must_use]
+    #[inline]
     pub fn request(&self) -> Option<Request> {
         self.next_action().map(|action| match action {
             Action::FetchData(addr) | Action::FetchIndexWord(addr) => Request {
@@ -343,13 +350,15 @@ impl DataMover {
     /// # Panics
     ///
     /// Panics if called without a corresponding [`DataMover::request`].
+    #[inline]
     pub fn apply_grant(&mut self, tcdm: &mut Tcdm) -> Result<(), SsrError> {
         let action = self.next_action().expect("grant without a pending request");
         match action {
             Action::FetchData(addr) => {
                 let value = tcdm.read_u64(addr)?;
                 // Arrives at the end of this cycle; poppable next cycle.
-                self.fifo.push_back((value, false));
+                self.fifo.push_back(value);
+                self.landing = true;
                 if let Some(st) = &mut self.indirect {
                     st.pending_idx
                         .pop_front()
@@ -377,8 +386,8 @@ impl DataMover {
             Action::WriteData(addr) => {
                 let gen = self.gen.as_mut().expect("armed");
                 gen.next().expect("pending address");
-                let (value, ready) = self.fifo.pop_front().expect("write grant with empty FIFO");
-                debug_assert!(ready, "write grant for a not-yet-ready value");
+                debug_assert!(self.front_ready(), "write grant for a not-yet-ready value");
+                let value = self.fifo.pop_front().expect("write grant with empty FIFO");
                 tcdm.write_u64(addr, value)?;
             }
         }
@@ -386,23 +395,24 @@ impl DataMover {
     }
 
     /// Records a lost arbitration for this cycle.
+    #[inline]
     pub fn note_denied(&mut self) {
         self.stats.denied_requests += 1;
     }
 
-    /// Ends the cycle: landing-slot values become poppable.
+    /// Ends the cycle: the landing-slot value becomes poppable.
+    #[inline]
     pub fn advance(&mut self) {
-        for entry in &mut self.fifo {
-            entry.1 = true;
-        }
+        self.landing = false;
     }
 
     // ---- FP datapath interface ------------------------------------------
 
     /// Whether a read-stream pop can proceed this cycle.
     #[must_use]
+    #[inline]
     pub fn can_pop(&self) -> bool {
-        self.dir == StreamDir::Read && matches!(self.fifo.front(), Some(&(_, true)))
+        self.dir == StreamDir::Read && self.front_ready()
     }
 
     /// Pops the next stream element (read mode).
@@ -414,6 +424,7 @@ impl DataMover {
     /// # Panics
     ///
     /// Panics if no element is ready — gate with [`DataMover::can_pop`].
+    #[inline]
     pub fn pop(&mut self) -> Result<u64, SsrError> {
         if self.dir != StreamDir::Read {
             return Err(SsrError::WrongDirection {
@@ -421,19 +432,24 @@ impl DataMover {
                 armed: self.dir,
             });
         }
-        let (value, ready) = self.fifo.pop_front().expect("pop from empty stream FIFO");
-        assert!(ready, "pop of a value still in the SRAM landing slot");
+        assert!(
+            self.fifo.is_empty() || self.front_ready(),
+            "pop of a value still in the SRAM landing slot"
+        );
+        let value = self.fifo.pop_front().expect("pop from empty stream FIFO");
         self.stats.elements += 1;
         Ok(value)
     }
 
     /// Records that a consumer stalled on an empty FIFO this cycle.
+    #[inline]
     pub fn note_starved(&mut self) {
         self.stats.starve_cycles += 1;
     }
 
     /// Whether a write-stream push can proceed this cycle.
     #[must_use]
+    #[inline]
     pub fn can_push(&self) -> bool {
         self.dir == StreamDir::Write && self.fifo.len() < self.fifo_capacity
     }
@@ -447,6 +463,7 @@ impl DataMover {
     /// # Panics
     ///
     /// Panics if the FIFO is full — gate with [`DataMover::can_push`].
+    #[inline]
     pub fn push(&mut self, value: u64) -> Result<(), SsrError> {
         if self.dir != StreamDir::Write {
             return Err(SsrError::WrongDirection {
@@ -458,12 +475,13 @@ impl DataMover {
             self.fifo.len() < self.fifo_capacity,
             "push into full stream FIFO"
         );
-        self.fifo.push_back((value, true));
+        self.fifo.push_back(value);
         self.stats.elements += 1;
         Ok(())
     }
 
     /// Records that a producer stalled on a full FIFO this cycle.
+    #[inline]
     pub fn note_full(&mut self) {
         self.stats.full_cycles += 1;
     }

@@ -17,6 +17,22 @@ fn pattern() -> impl Strategy<Value = AffinePattern> {
 }
 
 proptest! {
+    /// `peek_addr` is the old clone-and-advance peek, at every step of
+    /// the walk and after it ends.
+    #[test]
+    fn addrgen_peek_matches_clone_and_next(pat in pattern()) {
+        let mut gen = AddrGen::new(pat);
+        loop {
+            let peeked = gen.peek_addr();
+            prop_assert_eq!(peeked, gen.clone().next());
+            prop_assert_eq!(peeked.is_none(), gen.is_exhausted());
+            if gen.next().is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(gen.peek_addr(), None);
+    }
+
     #[test]
     fn addrgen_yields_exactly_total_elements(pat in pattern()) {
         let n = AddrGen::new(pat).count() as u64;

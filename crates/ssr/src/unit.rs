@@ -141,6 +141,7 @@ impl SsrUnit {
 
     /// Whether FP register `f{index}` is stream-mapped *right now*.
     #[must_use]
+    #[inline]
     pub fn maps_register(&self, fp_index: u8) -> bool {
         self.enabled && (fp_index as usize) < self.movers.len()
     }
@@ -151,6 +152,7 @@ impl SsrUnit {
     ///
     /// Panics if `index` is out of range.
     #[must_use]
+    #[inline]
     pub fn mover(&self, index: u8) -> &DataMover {
         &self.movers[index as usize]
     }
@@ -160,11 +162,13 @@ impl SsrUnit {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    #[inline]
     pub fn mover_mut(&mut self, index: u8) -> &mut DataMover {
         &mut self.movers[index as usize]
     }
 
     /// Iterates over all movers.
+    #[inline]
     pub fn movers(&self) -> impl Iterator<Item = &DataMover> {
         self.movers.iter()
     }
@@ -289,6 +293,7 @@ impl SsrUnit {
     }
 
     /// Ends the cycle for every mover (landing slots become poppable).
+    #[inline]
     pub fn advance(&mut self) {
         for m in &mut self.movers {
             m.advance();
