@@ -28,7 +28,11 @@
 //! counting down. The old whole-window scheduler could not skip a
 //! single cycle of this shape; the local skip bulk-advances the parked
 //! harts cycle by cycle while the busy hart steps densely, and the
-//! bench holds the measured win above [`MIN_PARTIAL_SPEEDUP`].
+//! bench holds the measured win above [`MIN_PARTIAL_SPEEDUP`]. The same
+//! program set runs twice: on a stand-alone cluster, and as the one
+//! cluster of a `SystemBuilder` system behind a pass-through L2 — the
+//! local skip must hold inside a system too, where each cluster takes
+//! the system's scheduling mode.
 //!
 //! Run with `cargo run --release -p sc-bench --bin host_speed`.
 
@@ -40,6 +44,7 @@ use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
 use sc_kernels::{Grid3, Stencil, StencilKernel, TiledSystemKernel, Variant, WaitStyle};
 use sc_mem::{Dram, DramConfig, L2Config, TcdmConfig};
+use sc_system::{SystemBuilder, SystemConfig};
 
 const CORES: u32 = 4;
 const GRID: (u32, u32, u32) = (16, 16, 8);
@@ -68,6 +73,12 @@ const PARTIAL_ITERS: i32 = 80_000;
 /// stepping cost rather than the window length, hence far below
 /// [`MIN_SPEEDUP`].
 const MIN_PARTIAL_SPEEDUP: f64 = 1.15;
+
+/// Timed runs per mode on a partially-idle point. Each run takes about
+/// a tenth of a second, short enough for one preemption on a shared
+/// host to decide a single-run ratio, so each mode keeps its fastest
+/// run, the modes alternating.
+const PARTIAL_RUNS: usize = 5;
 
 fn kernel() -> TiledSystemKernel {
     let (nx, ny, nz) = GRID;
@@ -149,8 +160,17 @@ fn parked_program(enqueue: bool) -> Program {
     b.build().expect("parked program assembles")
 }
 
-fn run_partial(mode: SchedMode) -> Run {
-    let programs = (0..PARTIAL_HARTS)
+/// Where the partially-idle program set runs.
+#[derive(Clone, Copy)]
+enum Host {
+    /// A stand-alone cluster with a private Dram.
+    Cluster,
+    /// The one cluster of a system behind a pass-through L2.
+    System,
+}
+
+fn run_partial(host: Host, mode: SchedMode) -> Run {
+    let programs: Vec<Program> = (0..PARTIAL_HARTS)
         .map(|h| {
             if h == 0 {
                 busy_program()
@@ -160,26 +180,99 @@ fn run_partial(mode: SchedMode) -> Run {
         })
         .collect();
     let cfg = CoreConfig::new().with_tcdm(TcdmConfig::new().with_size(64 << 10).with_banks(8));
-    let mut cluster =
-        ClusterBuilder::new(ClusterConfig::new(PARTIAL_HARTS).with_core(cfg), programs)
-            .dma(Dram::new(DramConfig::new().with_latency(PARTIAL_LATENCY)))
-            .sched_mode(mode)
-            .build();
-    for i in 0..8 {
-        cluster
-            .tcdm_mut()
-            .write_f64(0x400 + i * 8, f64::from(i))
-            .expect("seed the staged bytes");
-    }
-    let start = Instant::now();
-    cluster.run(MAX_CYCLES).expect("partial workload completes");
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let summary = cluster.summary();
+    let cluster_cfg = ClusterConfig::new(PARTIAL_HARTS).with_core(cfg);
+    let dram_cfg = DramConfig::new().with_latency(PARTIAL_LATENCY);
+    let stage_bytes = |tcdm: &mut sc_mem::Tcdm| {
+        for i in 0..8 {
+            tcdm.write_f64(0x400 + i * 8, f64::from(i))
+                .expect("seed the staged bytes");
+        }
+    };
+    let (summary, wall_seconds) = match host {
+        Host::Cluster => {
+            let mut cluster = ClusterBuilder::new(cluster_cfg, programs)
+                .dma(Dram::new(dram_cfg))
+                .sched_mode(mode)
+                .build();
+            stage_bytes(cluster.tcdm_mut());
+            let start = Instant::now();
+            cluster.run(MAX_CYCLES).expect("partial workload completes");
+            (cluster.summary(), start.elapsed().as_secs_f64())
+        }
+        Host::System => {
+            let system_cfg = SystemConfig::new(1, PARTIAL_HARTS)
+                .with_cluster(cluster_cfg)
+                .with_l2(L2Config::passthrough(dram_cfg));
+            let mut system = SystemBuilder::new(system_cfg, vec![vec![programs]])
+                .dram(Dram::new(DramConfig::new()))
+                .sched_mode(mode)
+                .build();
+            stage_bytes(system.cluster_mut(0).tcdm_mut());
+            let start = Instant::now();
+            system.run(MAX_CYCLES).expect("partial workload completes");
+            (system.cluster(0).summary(), start.elapsed().as_secs_f64())
+        }
+    };
     Run {
         cycles: summary.cycles,
         flops: summary.aggregate.flops,
         wall_seconds,
     }
+}
+
+/// Times the partially-idle program set densely and event-driven on
+/// `host`, checks the two runs agree, prints both rows and returns
+/// (dense, event, speedup).
+fn partial_point(host: Host, label: &str) -> (Run, Run, f64) {
+    println!(
+        "\n=== partially idle on {label} — {PARTIAL_HARTS} harts, 1 computing, \
+         {} parked on a {PARTIAL_LATENCY}-cycle DMA countdown ===",
+        PARTIAL_HARTS - 1
+    );
+    println!("=== the global fast-forward never fires: every win is the local per-hart skip ===\n");
+    let _ = run_partial(host, SchedMode::Dense);
+    let mut dense = run_partial(host, SchedMode::Dense);
+    let mut event = run_partial(host, SchedMode::Event);
+    for _ in 1..PARTIAL_RUNS {
+        for (best, mode) in [
+            (&mut dense, SchedMode::Dense),
+            (&mut event, SchedMode::Event),
+        ] {
+            let run = run_partial(host, mode);
+            assert_eq!(run.cycles, best.cycles, "runs must retire identical cycles");
+            if run.wall_seconds < best.wall_seconds {
+                *best = run;
+            }
+        }
+    }
+    assert_eq!(
+        dense.cycles, event.cycles,
+        "event mode must retire the identical cycle count"
+    );
+    assert_eq!(
+        dense.flops, event.flops,
+        "event mode must perform the identical work"
+    );
+    let speedup = dense.wall_seconds / event.wall_seconds;
+    println!(
+        "{:>8} {:>12} {:>12} {:>16}",
+        "mode", "cycles", "wall", "sim cycles/s"
+    );
+    for (mode, r) in [("dense", &dense), ("event", &event)] {
+        println!(
+            "{:>8} {:>12} {:>11.4}s {:>16.0}",
+            mode,
+            r.cycles,
+            r.wall_seconds,
+            r.cycles_per_second()
+        );
+    }
+    println!("\npartially-idle event-mode host speedup on {label}: {speedup:.2}x");
+    assert!(
+        speedup >= MIN_PARTIAL_SPEEDUP,
+        "local-skip speedup on {label} {speedup:.2}x below the {MIN_PARTIAL_SPEEDUP}x floor"
+    );
+    (dense, event, speedup)
 }
 
 fn main() {
@@ -224,41 +317,12 @@ fn main() {
         "event scheduler speedup {speedup:.2}x below the {MIN_SPEEDUP}x floor"
     );
 
-    println!(
-        "\n=== partially idle — {PARTIAL_HARTS} harts, 1 computing, \
-         {} parked on a {PARTIAL_LATENCY}-cycle DMA countdown ===",
-        PARTIAL_HARTS - 1
-    );
-    println!("=== the global fast-forward never fires: every win is the local per-hart skip ===\n");
-    let _ = run_partial(SchedMode::Dense);
-    let partial_dense = run_partial(SchedMode::Dense);
-    let partial_event = run_partial(SchedMode::Event);
+    let (partial_dense, partial_event, partial_speedup) = partial_point(Host::Cluster, "a cluster");
+    let (system_dense, system_event, system_speedup) =
+        partial_point(Host::System, "a 1-cluster system");
     assert_eq!(
-        partial_dense.cycles, partial_event.cycles,
-        "event mode must retire the identical cycle count"
-    );
-    assert_eq!(
-        partial_dense.flops, partial_event.flops,
-        "event mode must perform the identical work"
-    );
-    let partial_speedup = partial_dense.wall_seconds / partial_event.wall_seconds;
-    println!(
-        "{:>8} {:>12} {:>12} {:>16}",
-        "mode", "cycles", "wall", "sim cycles/s"
-    );
-    for (label, r) in [("dense", &partial_dense), ("event", &partial_event)] {
-        println!(
-            "{:>8} {:>12} {:>11.4}s {:>16.0}",
-            label,
-            r.cycles,
-            r.wall_seconds,
-            r.cycles_per_second()
-        );
-    }
-    println!("\npartially-idle event-mode host speedup: {partial_speedup:.2}x");
-    assert!(
-        partial_speedup >= MIN_PARTIAL_SPEEDUP,
-        "local-skip speedup {partial_speedup:.2}x below the {MIN_PARTIAL_SPEEDUP}x floor"
+        system_dense.cycles, partial_dense.cycles,
+        "a 1-cluster pass-through system must retire the stand-alone cluster's cycles"
     );
 
     let report = Json::obj()
@@ -280,6 +344,16 @@ fn main() {
         .set("partial_dense_wall_seconds", partial_dense.wall_seconds)
         .set("partial_event_wall_seconds", partial_event.wall_seconds)
         .set("partial_event_speedup", partial_speedup)
+        .set("partial_system_cycles", system_dense.cycles)
+        .set(
+            "partial_system_dense_wall_seconds",
+            system_dense.wall_seconds,
+        )
+        .set(
+            "partial_system_event_wall_seconds",
+            system_event.wall_seconds,
+        )
+        .set("partial_system_event_speedup", system_speedup)
         .set("min_partial_speedup_floor", MIN_PARTIAL_SPEEDUP);
     match json::write_report("BENCH_host_speed.json", &report) {
         Ok(path) => println!("json report: {}", path.display()),

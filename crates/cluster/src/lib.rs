@@ -330,9 +330,11 @@ struct DmaAttachment {
     timing: DramConfig,
     busy_cycles: u64,
     overlap_cycles: u64,
-    /// Aggregate `fpu_issue_cycles` after the previous cycle, to detect
-    /// whether any core issued compute this cycle.
-    prev_fpu_issue: u64,
+    /// Whether any stepped hart issued an FPU compute op this cycle (set
+    /// by [`Cluster::begin_cycle`], consumed by [`Cluster::end_cycle`]).
+    /// Parked and halted harts cannot issue, so the stepped harts decide
+    /// it alone.
+    fpu_issued: bool,
     /// Whether the engine had a transfer in flight at this cycle's start
     /// (set by [`Cluster::begin_cycle`], consumed by
     /// [`Cluster::end_cycle`]).
@@ -342,12 +344,54 @@ struct DmaAttachment {
     beat_ready: bool,
 }
 
+/// How many harts sit in each state that is not runnable. A hart is
+/// counted once: halted first, then by the wait it is parked on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Census {
+    halted: usize,
+    barrier: usize,
+    system_barrier: usize,
+    dma_wait: usize,
+}
+
+impl Census {
+    fn count(&mut self, core: &Core) {
+        if core.is_halted() {
+            self.halted += 1;
+        } else if core.in_barrier() {
+            self.barrier += 1;
+        } else if core.in_system_barrier() {
+            self.system_barrier += 1;
+        } else if core.dma_wait_target().is_some() {
+            self.dma_wait += 1;
+        }
+    }
+
+    fn of(cores: &[Core]) -> Census {
+        let mut census = Census::default();
+        for core in cores {
+            census.count(core);
+        }
+        census
+    }
+
+    fn parked(&self) -> usize {
+        self.barrier + self.system_barrier + self.dma_wait
+    }
+}
+
 /// The cluster: N lock-stepped cores over one shared banked TCDM,
 /// optionally fed by a DMA engine from an unbounded background memory.
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
     cores: Vec<Core>,
+    /// The harts' states as of the last cycle end, program load or
+    /// barrier release — the only points outside a cycle where a hart's
+    /// state can change. `None` from [`Cluster::begin_cycle`] until
+    /// [`Cluster::end_cycle`] recounts, so a cycle cut short by an error
+    /// is read live ([`Cluster::census`]).
+    census: Option<Census>,
     tcdm: Tcdm,
     cycles: u64,
     core_done_at: Vec<Option<u64>>,
@@ -409,6 +453,7 @@ impl Cluster {
         let n = cores.len();
         Cluster {
             cfg,
+            census: Some(Census::of(&cores)),
             cores,
             tcdm,
             cycles: 0,
@@ -573,7 +618,7 @@ impl Cluster {
     /// Watchdog check, run once per completed cycle. Returns the hang
     /// report if the cluster froze.
     fn check_watchdog(&mut self) -> Option<HangReport> {
-        if self.watchdog.is_none() || self.cores.iter().all(Core::is_halted) {
+        if self.watchdog.is_none() || self.is_done() {
             return None;
         }
         let sig = self.progress_signature();
@@ -650,7 +695,7 @@ impl Cluster {
             timing,
             busy_cycles: 0,
             overlap_cycles: 0,
-            prev_fpu_issue: 0,
+            fpu_issued: false,
             busy_this_cycle: false,
             beat_ready: false,
         });
@@ -696,6 +741,7 @@ impl Cluster {
         for (core, program) in self.cores.iter_mut().zip(programs) {
             core.load_program(program);
         }
+        self.census = Some(Census::of(&self.cores));
         self.core_done_at.fill(None);
     }
 
@@ -732,15 +778,6 @@ impl Cluster {
         &self.cores[hart]
     }
 
-    /// Mutable core access (test setup: seed registers before running).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hart` is out of range.
-    pub fn core_mut(&mut self, hart: usize) -> &mut Core {
-        &mut self.cores[hart]
-    }
-
     /// Cluster cycles simulated so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -749,8 +786,22 @@ impl Cluster {
 
     /// Whether every core has halted.
     #[must_use]
+    #[inline]
     pub fn is_done(&self) -> bool {
-        self.cores.iter().all(Core::is_halted)
+        self.census().halted == self.cores.len()
+    }
+
+    /// The harts' state counts: the cached census between cycles, a live
+    /// recount inside a cycle that did not finish.
+    #[inline]
+    fn census(&self) -> Census {
+        match self.census {
+            Some(census) => {
+                debug_assert_eq!(census, Census::of(&self.cores), "stale hart census");
+                census
+            }
+            None => Census::of(&self.cores),
+        }
     }
 
     /// Marks this cluster as cluster `cluster_id` of a
@@ -804,6 +855,7 @@ impl Cluster {
         // timestamp (the system sets the same value when it owns the
         // clock — the clusters advance in lock-step with it).
         self.tracer.set_cycle(self.cycles);
+        self.census = None;
 
         // Cores already halted at cycle start sit the cycle out entirely
         // (their counters freeze at their own completion). Under
@@ -837,9 +889,14 @@ impl Cluster {
             }
         }
 
-        // Phases 1–2 on every active core.
+        // Phases 1–2 on every active core. FPU compute issues only here,
+        // so comparing each stepped hart's issue count across its phases
+        // tells the DMA overlap detector whether anything computed.
+        let mut fpu_issued = false;
         for &h in &self.active {
+            let issued = self.cores[h].counters().fpu_issue_cycles;
             self.cores[h].begin_cycle().map_err(tag(h))?;
+            fpu_issued |= self.cores[h].counters().fpu_issue_cycles != issued;
         }
 
         // Doorbells rung this cycle enter the engine's FIFO; the engine
@@ -865,6 +922,7 @@ impl Cluster {
             // stale here — an enqueue leaves the engine non-idle until
             // its transfer completes, and its hints were drained the
             // same cycle.
+            dma.fpu_issued = fpu_issued;
             if dma.engine.is_idle() {
                 dma.busy_this_cycle = false;
                 dma.beat_ready = false;
@@ -1001,15 +1059,9 @@ impl Cluster {
             }
             // Compute–transfer overlap: did any core issue an FPU compute
             // op while the engine was busy?
-            let fpu_issue: u64 = self
-                .cores
-                .iter()
-                .map(|c| c.counters().fpu_issue_cycles)
-                .sum();
-            if dma.busy_this_cycle && fpu_issue > dma.prev_fpu_issue {
+            if dma.busy_this_cycle && dma.fpu_issued {
                 dma.overlap_cycles += 1;
             }
-            dma.prev_fpu_issue = fpu_issue;
             dma.busy_this_cycle = false;
             dma.beat_ready = false;
         }
@@ -1018,37 +1070,43 @@ impl Cluster {
         }
         self.cycles += 1;
 
+        // The cycle's one pass over every hart: release each blocking DMA
+        // wait whose target the engine's wrapping completion counter has
+        // reached (transfers complete in the crossbar phase above, so a
+        // hart resumes the cycle after its transfer lands), and count the
+        // states the rendezvous below and every census reader need.
+        // Releasing DMA waits before the barriers resolve is exact: a
+        // barrier releases only when every unhalted hart waits on it, so
+        // a cycle that releases a DMA wait never releases a barrier.
+        let completed = self.dma.as_ref().map(|d| d.engine.completed());
+        let mut census = Census::default();
+        for core in &mut self.cores {
+            if let (Some(target), Some(completed)) = (core.dma_wait_target(), completed) {
+                if (completed.wrapping_sub(target) as i32) >= 0 {
+                    core.release_dma_wait(completed);
+                }
+            }
+            census.count(core);
+        }
+
         // Barrier rendezvous: release once every active hart has arrived.
-        let waiting = self.cores.iter().filter(|c| c.in_barrier()).count();
-        let still_active = self.cores.iter().filter(|c| !c.is_halted()).count();
-        if waiting > 0 && waiting == still_active {
+        let still_active = self.cores.len() - census.halted;
+        if census.barrier > 0 && census.barrier == still_active {
             for core in &mut self.cores {
                 core.release_barrier();
             }
             self.barriers += 1;
+            census.barrier = 0;
         }
+        self.census = Some(census);
         // A stand-alone cluster is the whole system: resolve the
         // inter-cluster barrier among its own harts. Embedded clusters
         // leave this to the system, which sees every cluster.
-        if !self.system_managed {
-            let waiting = self.cores.iter().filter(|c| c.in_system_barrier()).count();
-            if waiting > 0 && waiting == still_active {
-                self.release_system_barrier();
-            }
-        }
-        // Blocking DMA waits: release every hart whose target the
-        // engine's wrapping completion counter has reached (transfers
-        // complete in the crossbar phase above, so a hart resumes the
-        // cycle after its transfer lands).
-        if let Some(dma) = &self.dma {
-            let completed = dma.engine.completed();
-            for core in &mut self.cores {
-                if let Some(target) = core.dma_wait_target() {
-                    if (completed.wrapping_sub(target) as i32) >= 0 {
-                        core.release_dma_wait(completed);
-                    }
-                }
-            }
+        if !self.system_managed
+            && census.system_barrier > 0
+            && census.system_barrier == still_active
+        {
+            self.release_system_barrier();
         }
 
         for &h in &self.active {
@@ -1066,10 +1124,10 @@ impl Cluster {
     /// barrier, and how many are still active (not halted) — the
     /// system's rendezvous census.
     #[must_use]
+    #[inline]
     pub fn system_barrier_census(&self) -> (usize, usize) {
-        let waiting = self.cores.iter().filter(|c| c.in_system_barrier()).count();
-        let active = self.cores.iter().filter(|c| !c.is_halted()).count();
-        (waiting, active)
+        let census = self.census();
+        (census.system_barrier, self.cores.len() - census.halted)
     }
 
     /// Releases every hart parked on the inter-cluster barrier and
@@ -1079,13 +1137,16 @@ impl Cluster {
     /// system-wide episode it never participated in — is left untouched
     /// and does not count the episode.
     pub fn release_system_barrier(&mut self) {
-        if !self.cores.iter().any(Core::in_system_barrier) {
+        if self.census().system_barrier == 0 {
             return;
         }
         for core in &mut self.cores {
             core.release_system_barrier();
         }
         self.system_barriers += 1;
+        if let Some(census) = &mut self.census {
+            census.system_barrier = 0;
+        }
     }
 
     /// The earliest future cycle at which stepping this cluster could do
@@ -1100,7 +1161,16 @@ impl Cluster {
     /// sampled counter rows dense stepping would have produced.
     #[must_use]
     pub fn next_wake(&self) -> Wake {
-        let cores = Wake::earliest(self.cores.iter().map(Core::wake));
+        // A core's wake is `Idle` when it is halted, or parked and not
+        // tracing; any other core needs every cycle.
+        let census = self.census();
+        let unhalted = self.cores.len() - census.halted;
+        let cores = if unhalted > census.parked() || (unhalted > 0 && self.cfg.core.trace) {
+            Wake::EveryCycle
+        } else {
+            Wake::Idle
+        };
+        debug_assert_eq!(cores, Wake::earliest(self.cores.iter().map(Core::wake)));
         let dma = self.dma.as_ref().map_or(Wake::Idle, |d| {
             match d.engine.stalled_for() {
                 // No transfer in flight: an empty queue means the
@@ -1171,22 +1241,12 @@ impl Cluster {
                 // halted, so no FPU op can issue inside it: the dense
                 // loop would book each of these cycles as busy and
                 // *never* as overlap — the bulk charge must stay
-                // exposed-only ([`TransferAttribution::exposed_cycles`])
-                // and the overlap detector's FPU-issue watermark is
-                // frozen across the window by construction.
+                // exposed-only ([`TransferAttribution::exposed_cycles`]).
                 debug_assert!(
                     self.cores
                         .iter()
                         .all(|c| c.is_halted() || matches!(c.wake(), Wake::Idle)),
                     "bulk DMA busy charge while a hart can still compute"
-                );
-                debug_assert_eq!(
-                    dma.prev_fpu_issue,
-                    self.cores
-                        .iter()
-                        .map(|c| c.counters().fpu_issue_cycles)
-                        .sum::<u64>(),
-                    "stale FPU-issue watermark entering a skipped window"
                 );
                 dma.busy_cycles += cycles;
                 dma.engine.skip(cycles);

@@ -9,7 +9,7 @@
 //!   one without an engine.
 
 use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig};
-use sc_core::CoreConfig;
+use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, ProgramBuilder};
 use sc_mem::{Dram, DramConfig, TcdmConfig};
 
@@ -169,4 +169,41 @@ fn load_programs_restarts_halted_cores_with_state_kept() {
     let summary = cluster.run(2_000).unwrap();
     assert_eq!(cluster.core(0).int_reg(IntReg::new(10)), 42);
     assert!(summary.cycles > cycles_after_first, "cycles accumulate");
+}
+
+#[test]
+fn tracing_harts_parked_on_dma_wait_step_densely_in_event_mode() {
+    // Both harts park on one long transfer. A parked hart that records a
+    // per-cycle issue trace still needs every cycle, so event mode must
+    // not skip the wait: the traces, like the cycle counts, match dense.
+    let program = |ring: bool| {
+        let mut b = ProgramBuilder::new();
+        if ring {
+            ring_doorbell(&mut b, 0x10_0000, 0x200, 32, true);
+        }
+        b.li(T1, 1);
+        b.csrrw(IntReg::ZERO, csr::DMA_WAIT, T1);
+        b.ecall();
+        b.build().unwrap()
+    };
+    let run = |mode: SchedMode| {
+        let mut cluster = ClusterBuilder::new(
+            ClusterConfig::new(2).with_core(cfg().with_trace(true)),
+            vec![program(true), program(false)],
+        )
+        .dma(Dram::new(DramConfig::new().with_latency(500)))
+        .sched_mode(mode)
+        .build();
+        cluster.run(100_000).unwrap()
+    };
+    let (dense, event) = (run(SchedMode::Dense), run(SchedMode::Event));
+    assert!(
+        dense.cycles > 500,
+        "the harts wait out the transfer latency"
+    );
+    assert_eq!(event.cycles, dense.cycles);
+    for (d, e) in dense.per_core.iter().zip(&event.per_core) {
+        assert_eq!(e.trace.len(), d.trace.len());
+        assert_eq!(e.counters, d.counters);
+    }
 }

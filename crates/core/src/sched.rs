@@ -44,6 +44,7 @@ impl Wake {
     /// [`Wake::EveryCycle`] dominates everything; [`Wake::Idle`] yields
     /// to everything.
     #[must_use]
+    #[inline]
     pub fn merge(self, other: Wake) -> Wake {
         match (self, other) {
             (Wake::EveryCycle, _) | (_, Wake::EveryCycle) => Wake::EveryCycle,

@@ -410,8 +410,9 @@ impl Core {
 
     /// Whether the core has executed `ecall` and fully quiesced.
     #[must_use]
+    #[inline]
     pub fn is_halted(&self) -> bool {
-        self.state == IntState::Halted
+        matches!(self.state, IntState::Halted)
     }
 
     /// Whether the core is parked on the cluster barrier.
@@ -482,6 +483,7 @@ impl Core {
     /// # Panics
     ///
     /// Debug-asserts the core actually reported an idle wake.
+    #[inline]
     pub fn skip_cycles(&mut self, cycles: u64) {
         debug_assert!(
             matches!(self.wake(), Wake::Idle) && !self.is_halted(),

@@ -762,7 +762,6 @@ impl L2 {
         if requests.is_empty() {
             return;
         }
-        self.bank_taken.fill(false);
         // True round-robin over the *configured* cluster ids: priority
         // starts at the pointer and wraps, and the pointer then advances
         // past the highest-priority winner — so idle clusters never skew
@@ -777,10 +776,67 @@ impl L2 {
         let rr = self.rr_next % n;
         let mut order = std::mem::take(&mut self.order);
         order.clear();
-        order.extend(0..requests.len());
+        if requests.windows(2).all(|w| w[0].cluster <= w[1].cluster) {
+            // A batch in cluster order (the order a system gathers its
+            // clusters' beats in) is already sorted by rotated priority
+            // once rotated to start at the first cluster at or above the
+            // pointer — exactly the stable sort's result, without sorting.
+            let start = requests.partition_point(|r| r.cluster < rr);
+            order.extend(start..requests.len());
+            order.extend(0..start);
+        } else {
+            order.extend(0..requests.len());
+            order.sort_by_key(|&i| (requests[i].cluster + n - rr) % n);
+        }
+        self.serve_in_order(requests, &order, outcomes);
+        self.order = order;
+    }
+
+    /// [`L2::arbitrate_into`] with the priority order always sorted, for
+    /// any batch order: the reference the rotation is tested against.
+    #[cfg(test)]
+    pub(crate) fn arbitrate_sorted_into(
+        &mut self,
+        requests: &[L2Request],
+        outcomes: &mut Vec<L2Outcome>,
+    ) {
+        outcomes.clear();
+        outcomes.resize(requests.len(), L2Outcome::BankConflict);
+        if requests.is_empty() {
+            return;
+        }
+        let n = self.accesses_by_cluster.len().max(1) as u32;
+        let rr = self.rr_next % n;
+        let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| (requests[i].cluster + n - rr) % n);
+        self.serve_in_order(requests, &order, outcomes);
+    }
+
+    /// The round-robin pointer (equivalence tests of the two orderings).
+    #[cfg(test)]
+    pub(crate) fn rr_next(&self) -> u32 {
+        self.rr_next
+    }
+
+    /// Starts the round-robin pointer at `rr` (equivalence tests).
+    #[cfg(test)]
+    pub(crate) fn set_rr_next(&mut self, rr: u32) {
+        self.rr_next = rr;
+    }
+
+    /// Serves a non-empty batch in the priority `order` (request
+    /// indexes) and advances the round-robin pointer; `outcomes` arrives
+    /// sized to the batch and pre-filled with conflicts.
+    fn serve_in_order(
+        &mut self,
+        requests: &[L2Request],
+        order: &[usize],
+        outcomes: &mut [L2Outcome],
+    ) {
+        self.bank_taken.fill(false);
+        let n = self.accesses_by_cluster.len().max(1) as u32;
         let mut first_winner = None;
-        for &i in &order {
+        for &i in order {
             let req = &requests[i];
             let c = req.cluster as usize;
             if self.cfg.refill && req.kind == AccessKind::Read {
@@ -819,7 +875,6 @@ impl L2 {
                 }
             }
         }
-        self.order = order;
         self.rr_next = match first_winner {
             Some(cluster) => (cluster + 1) % n,
             None => (self.rr_next + 1) % n,

@@ -357,6 +357,60 @@ proptest! {
         }
         prop_assert_eq!(fresh.stats(), reused.stats());
     }
+
+    /// The rotation `L2::arbitrate_into` takes for cluster-ordered
+    /// batches decides exactly what the rotated-priority sort decides —
+    /// outcomes, every statistic (per-cluster counters included) and the
+    /// round-robin pointer — from every starting pointer, on strictly
+    /// increasing, non-decreasing (duplicate ids) and unsorted batches,
+    /// with the cache core on and off.
+    #[test]
+    fn l2_rotation_matches_the_sort_path(
+        cfg in finite_l2_config(),
+        refill in any::<bool>(),
+        n in 1u32..7,
+        rr in 0u32..7,
+        batches in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u32..7, 0u32..64, any::<bool>()), 0..10),
+                0u8..3,
+            ),
+            1..40,
+        ),
+    ) {
+        let cfg = cfg.with_refill(refill);
+        let (mut rotated, mut sorted) = (L2::new(cfg, n), L2::new(cfg, n));
+        rotated.set_rr_next(rr % n);
+        sorted.set_rr_next(rr % n);
+        let (mut rotated_out, mut sorted_out) = (Vec::new(), Vec::new());
+        for (draws, shape) in &batches {
+            let mut batch: Vec<L2Request> = draws
+                .iter()
+                .map(|&(c, word, write)| L2Request {
+                    cluster: c % n,
+                    addr: word * 8,
+                    kind: if write { AccessKind::Write } else { AccessKind::Read },
+                })
+                .collect();
+            match shape {
+                0 => {
+                    batch.sort_by_key(|r| r.cluster);
+                    batch.dedup_by_key(|r| r.cluster);
+                }
+                1 => batch.sort_by_key(|r| r.cluster),
+                _ => {}
+            }
+            rotated.begin_cycle();
+            sorted.begin_cycle();
+            rotated.arbitrate_into(&batch, &mut rotated_out);
+            sorted.arbitrate_sorted_into(&batch, &mut sorted_out);
+            prop_assert_eq!(&rotated_out, &sorted_out);
+            prop_assert_eq!(rotated.rr_next(), sorted.rr_next());
+            rotated.end_cycle();
+            sorted.end_cycle();
+        }
+        prop_assert_eq!(rotated.stats(), sorted.stats());
+    }
 }
 
 proptest! {

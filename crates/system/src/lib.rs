@@ -310,12 +310,12 @@ pub struct System {
     l2_reqs: Vec<L2Request>,
     l2_outcomes: Vec<L2Outcome>,
     l2_req_of: Vec<Option<usize>>,
-    stepped: Vec<usize>,
-    /// Per-cluster local-skip classification for the cycle being
-    /// stepped: `quiet[c]` marks an unfinished cluster whose wake lies
-    /// strictly in the future — it is bulk-advanced one cycle
-    /// ([`Cluster::skip_quiet`]) while the dense subset steps.
-    quiet: Vec<bool>,
+    /// The cycle's plan ([`System::plan_cycle`]): every unfinished
+    /// cluster in index order, each with its local-skip classification —
+    /// `true` for a cluster whose wake lies strictly in the future, which
+    /// is bulk-advanced one cycle ([`Cluster::skip_quiet`]) while the
+    /// dense subset steps.
+    stepped: Vec<(usize, bool)>,
     tracer: Tracer,
     watchdog: Option<Watchdog>,
     /// Per-cluster, per-hart attribution snapshots at the system
@@ -378,8 +378,7 @@ impl System {
             l2_reqs: Vec::new(),
             l2_outcomes: Vec::new(),
             l2_req_of: vec![None; n],
-            stepped: Vec::new(),
-            quiet: vec![false; n],
+            stepped: Vec::with_capacity(n),
             tracer: Tracer::off(),
             watchdog: None,
             hang_attr_base: vec![Vec::new(); n],
@@ -391,10 +390,15 @@ impl System {
 
     /// Selects how [`System::run`] advances the clock: dense lock-step
     /// (the default) or event-driven fast-forwarding of provably idle
-    /// windows. The two modes are cycle-count- and stats-identical;
-    /// event mode is purely a host-speed optimisation.
+    /// windows. Every embedded cluster takes the same mode, so event
+    /// mode also sits parked harts out inside a busy cluster. The two
+    /// modes are cycle-count- and stats-identical; event mode is purely
+    /// a host-speed optimisation.
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
         self.sched = Scheduler::new(mode);
+        for cluster in &mut self.clusters {
+            cluster.set_sched_mode(mode);
+        }
     }
 
     /// The scheduling mode [`System::run`] uses.
@@ -565,6 +569,38 @@ impl System {
     ///
     /// The first cluster error, tagged with its cluster index.
     pub fn step(&mut self) -> Result<(), SystemError> {
+        self.plan_cycle();
+        self.step_planned()
+    }
+
+    /// Plans the coming cycle in one pass over the clusters: lists every
+    /// unfinished cluster in `stepped` and, in event mode, classifies it
+    /// by its wake and returns the system's merged wake
+    /// ([`System::next_wake`]). Dense mode computes no wake, steps every
+    /// unfinished cluster and returns [`Wake::EveryCycle`].
+    fn plan_cycle(&mut self) -> Wake {
+        let mut stepped = std::mem::take(&mut self.stepped);
+        stepped.clear();
+        let wake = if self.sched.mode() == SchedMode::Event {
+            self.merge_wakes(|c| {
+                let wake = self.clusters[c].next_wake();
+                stepped.push((c, self.sched.local_quiet(self.cycles, wake)));
+                wake
+            })
+        } else {
+            stepped.extend(
+                (0..self.clusters.len())
+                    .filter(|&c| !self.cluster_finished(c))
+                    .map(|c| (c, false)),
+            );
+            Wake::EveryCycle
+        };
+        self.stepped = stepped;
+        wake
+    }
+
+    /// [`System::step`] after [`System::plan_cycle`] planned this cycle.
+    fn step_planned(&mut self) -> Result<(), SystemError> {
         let tag = |cluster: usize| {
             move |source| SystemError::Cluster {
                 cluster: cluster as u32,
@@ -578,27 +614,15 @@ impl System {
 
         // Clusters that finished their last stage sit the cycle out
         // entirely (their cycle counters freeze, like halted cores in a
-        // cluster). Of the rest, clusters whose wake lies strictly in
-        // the future — every hart parked, the engine at most counting
-        // down — are *locally* skipped this cycle: bulk-advanced by one
-        // cycle while the dense subset steps. A quiet cluster cannot
-        // emit an L2 beat or a prefetch hint (its engine owes a
-        // countdown, its doorbells are silent), so the dense subset's
-        // arbitration is unchanged; its watchdog, samples and barrier
-        // census are handled below exactly where dense stepping would.
-        let mut stepped = std::mem::take(&mut self.stepped);
-        stepped.clear();
-        stepped.extend((0..self.clusters.len()).filter(|&c| !self.cluster_finished(c)));
-        self.stepped = stepped;
-        for c in 0..self.clusters.len() {
-            self.quiet[c] = false;
-        }
-        for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
-            self.quiet[c] = self
-                .sched
-                .local_quiet(self.cycles, self.clusters[c].next_wake());
-        }
+        // cluster). Of the rest, the plan marks clusters whose wake lies
+        // strictly in the future — every hart parked, the engine at most
+        // counting down — as quiet: they are *locally* skipped this
+        // cycle, bulk-advanced by one cycle while the dense subset
+        // steps. A quiet cluster cannot emit an L2 beat or a prefetch
+        // hint (its engine owes a countdown, its doorbells are silent),
+        // so the dense subset's arbitration is unchanged; its watchdog,
+        // samples and barrier census are handled below exactly where
+        // dense stepping would.
 
         // Half-cycle 1 on every densely stepped cluster, collecting the
         // L2-side beats — and the stride hints rung doorbells published
@@ -608,8 +632,8 @@ impl System {
         self.l2_reqs.clear();
         self.l2_req_of.fill(None);
         for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
-            if self.quiet[c] {
+            let (c, quiet) = self.stepped[i];
+            if quiet {
                 continue;
             }
             if let Some((addr, kind)) = self.clusters[c].begin_cycle().map_err(tag(c))? {
@@ -650,8 +674,8 @@ impl System {
         // and polling its watchdog at the same post-advance cycle a
         // dense step observes.
         for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
-            if self.quiet[c] {
+            let (c, quiet) = self.stepped[i];
+            if quiet {
                 self.clusters[c].skip_quiet(1);
                 if self.tracer.wants_sample(self.cycles) {
                     self.clusters[c].sample_now();
@@ -689,7 +713,7 @@ impl System {
         // count as active in the rendezvous below. (Counting them as
         // halted would release a sibling's barrier without them.)
         for i in 0..self.stepped.len() {
-            let c = self.stepped[i];
+            let (c, _) = self.stepped[i];
             if self.clusters[c].is_done() {
                 if let Some(next) = self.stages[c].pop_front() {
                     self.clusters[c].load_programs(next);
@@ -731,6 +755,12 @@ impl System {
     /// sampled counter rows dense stepping would have emitted.
     #[must_use]
     pub fn next_wake(&self) -> Wake {
+        self.merge_wakes(|c| self.clusters[c].next_wake())
+    }
+
+    /// [`System::next_wake`] over the cluster wakes `cluster_wake`
+    /// reports, called once per unfinished cluster.
+    fn merge_wakes(&self, mut cluster_wake: impl FnMut(usize) -> Wake) -> Wake {
         let mut wake = Wake::Idle;
         for c in 0..self.clusters.len() {
             if self.cluster_finished(c) {
@@ -739,7 +769,7 @@ impl System {
             if let Some(cap) = self.clusters[c].watchdog_skip_cap() {
                 wake = wake.merge(Wake::At(cap));
             }
-            wake = wake.merge(self.clusters[c].next_wake());
+            wake = wake.merge(cluster_wake(c));
         }
         if let Some((l2, _)) = self.shared.as_ref() {
             wake = wake.merge(match l2.next_wake() {
@@ -851,41 +881,43 @@ impl System {
     /// covers inter-cluster barrier deadlocks.
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SystemError> {
         while !self.is_done() {
-            if self.sched.mode() == SchedMode::Event {
-                let caps = self
-                    .watchdog
-                    .as_ref()
-                    .map(|w| w.skip_cap(self.cycles))
-                    .into_iter()
-                    .chain(std::iter::once(max_cycles));
-                let skip = self.sched.plan(self.cycles, self.next_wake(), caps);
-                if skip > 0 {
-                    self.skip_idle(skip);
-                    if let Some(report) = self.check_watchdog() {
-                        return Err(SystemError::Hang(report));
-                    }
-                    // Cluster-local watchdogs owe one observation per
-                    // window ([`Cluster::poll_watchdog`]); the window
-                    // was capped at the earliest firing point
-                    // ([`System::next_wake`]), so this reproduces the
-                    // dense loop's per-cycle cadence exactly.
-                    for c in 0..self.clusters.len() {
-                        if !self.cluster_finished(c) {
-                            if let Some(report) = self.clusters[c].poll_watchdog() {
-                                return Err(SystemError::Cluster {
-                                    cluster: c as u32,
-                                    source: ClusterError::Hang(report),
-                                });
-                            }
+            // The plan also classifies the clusters for the dense step
+            // that follows when nothing can be skipped (dense mode never
+            // skips).
+            let wake = self.plan_cycle();
+            let caps = self
+                .watchdog
+                .as_ref()
+                .map(|w| w.skip_cap(self.cycles))
+                .into_iter()
+                .chain(std::iter::once(max_cycles));
+            let skip = self.sched.plan(self.cycles, wake, caps);
+            if skip > 0 {
+                self.skip_idle(skip);
+                if let Some(report) = self.check_watchdog() {
+                    return Err(SystemError::Hang(report));
+                }
+                // Cluster-local watchdogs owe one observation per
+                // window ([`Cluster::poll_watchdog`]); the window was
+                // capped at the earliest firing point
+                // ([`System::next_wake`]), so this reproduces the dense
+                // loop's per-cycle cadence exactly.
+                for c in 0..self.clusters.len() {
+                    if !self.cluster_finished(c) {
+                        if let Some(report) = self.clusters[c].poll_watchdog() {
+                            return Err(SystemError::Cluster {
+                                cluster: c as u32,
+                                source: ClusterError::Hang(report),
+                            });
                         }
                     }
-                    continue;
                 }
+                continue;
             }
             if self.cycles >= max_cycles {
                 return Err(SystemError::MaxCyclesExceeded { max_cycles });
             }
-            self.step()?;
+            self.step_planned()?;
         }
         self.sample_final();
         Ok(self.summary())
@@ -1047,7 +1079,8 @@ impl SystemBuilder {
     }
 
     /// Selects dense or event-driven clock advancement for
-    /// [`System::run`].
+    /// [`System::run`] and every embedded cluster
+    /// ([`System::set_sched_mode`]).
     #[must_use]
     pub fn sched_mode(mut self, mode: SchedMode) -> Self {
         self.sched = mode;

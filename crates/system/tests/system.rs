@@ -9,7 +9,7 @@
 //!   cluster, and deadlocks surface as budget errors.
 
 use sc_cluster::{ClusterBuilder, ClusterConfig};
-use sc_core::CoreConfig;
+use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
 use sc_mem::{Dram, DramConfig, L2Config};
 use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
@@ -388,4 +388,35 @@ fn lint_strict_refuses_a_bad_queued_stage() {
         .lint_strict()
         .try_build()
         .expect("clean stages build under strict verification");
+}
+
+#[test]
+fn embedded_clusters_take_the_system_sched_mode() {
+    // Event mode's per-hart local skip lives in each cluster's own
+    // scheduler: a cluster left in dense mode inside an event-mode
+    // system steps its parked harts every cycle.
+    let stages = || {
+        (0..3)
+            .map(|_| vec![vec![idle_program(), idle_program()]])
+            .collect()
+    };
+    let agree = |system: &System| {
+        (0..system.num_clusters()).all(|c| system.cluster(c).sched_mode() == system.sched_mode())
+    };
+
+    let mut system = SystemBuilder::new(SystemConfig::new(3, 2), stages())
+        .sched_mode(SchedMode::Event)
+        .build();
+    assert_eq!(system.sched_mode(), SchedMode::Event);
+    assert!(agree(&system), "builder-selected event mode");
+
+    system.set_sched_mode(SchedMode::Dense);
+    assert_eq!(system.sched_mode(), SchedMode::Dense);
+    assert!(agree(&system), "event -> dense");
+
+    let mut system = System::new(SystemConfig::new(3, 2), stages());
+    assert!(agree(&system), "default mode");
+    system.set_sched_mode(SchedMode::Event);
+    assert_eq!(system.sched_mode(), SchedMode::Event);
+    assert!(agree(&system), "dense -> event");
 }
