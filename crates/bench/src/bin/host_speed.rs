@@ -109,7 +109,9 @@ fn run(mode: SchedMode) -> Run {
     let l2 = L2Config::passthrough(DramConfig::new().with_latency(ENGINE_LATENCY));
     let start = Instant::now();
     let run = tk
-        .run_scheduled(CoreConfig::new(), l2, DramConfig::new(), MAX_CYCLES, mode)
+        .run_with(CoreConfig::new(), l2, DramConfig::new(), MAX_CYCLES, |b| {
+            b.sched_mode(mode)
+        })
         .unwrap_or_else(|e| panic!("{}: {e}", tk.name()));
     let wall_seconds = start.elapsed().as_secs_f64();
     Run {

@@ -238,12 +238,12 @@ fn write_trace(grid: Grid3, capacity: u32, sweep_cycles: u64, path: &std::path::
         .expect("slabs tile within 128 KiB");
     let session = TraceSession::new(TraceConfig::new().with_sample_every(1024));
     let run = tk
-        .run_traced(
+        .run_with(
             CoreConfig::new().with_chaining(true),
             l2_config(capacity, WAYS[1], CHANNELS[0]),
             DramConfig::new(),
             MAX_CYCLES,
-            session.tracer(),
+            |b| b.tracer(session.tracer()),
         )
         .unwrap_or_else(|e| panic!("traced point: {e}"));
     assert_eq!(

@@ -51,19 +51,8 @@ impl Case {
     }
 }
 
-/// The four kernel shapes the sweeps build, reduced to lintable
-/// program sets.
-fn cluster_unbounded(grid: Grid3, chaining: bool, cores: u32) -> Vec<Vec<Program>> {
-    vec![gen(grid, chaining).build_cluster(cores).programs().to_vec()]
-}
-
-fn cluster_tiled(grid: Grid3, chaining: bool, cores: u32) -> Vec<Vec<Program>> {
-    gen(grid, chaining)
-        .build_tiled(cores, TCDM_CAP_BYTES)
-        .expect("grid tiles within the TCDM cap")
-        .stages()
-}
-
+/// The two kernel shapes the sweeps build (a cluster is the 1-cluster
+/// point), reduced to lintable program sets.
 fn system_unbounded(grid: Grid3, chaining: bool, clusters: u32, cores: u32) -> Vec<Vec<Program>> {
     gen(grid, chaining)
         .build_system(clusters, cores)
@@ -95,9 +84,9 @@ fn cluster_scaling_cases(cases: &mut Vec<Case>) {
                 );
                 cases.push(Case::new(id, move || {
                     if tiled {
-                        cluster_tiled(grid, chaining, cores)
+                        system_tiled(grid, chaining, 1, cores)
                     } else {
-                        cluster_unbounded(grid, chaining, cores)
+                        system_unbounded(grid, chaining, 1, cores)
                     }
                 }));
             }

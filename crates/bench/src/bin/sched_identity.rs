@@ -35,21 +35,15 @@ const MAX_CYCLES: u64 = 500_000_000;
 /// must divide into whole sets for every swept associativity.
 const CAP_GRANULE: u32 = 256 * 8;
 
-/// The summary a point produces — cluster-level or system-level.
-enum Summary {
-    Cluster(ClusterSummary),
-    System(SystemSummary),
-}
-
 /// One baseline config point: a display id plus how to run it under an
 /// explicit scheduling mode.
 struct Case {
     id: String,
-    run: Box<dyn Fn(SchedMode) -> Summary + Send + Sync>,
+    run: Box<dyn Fn(SchedMode) -> SystemSummary + Send + Sync>,
 }
 
 impl Case {
-    fn new(id: String, run: impl Fn(SchedMode) -> Summary + Send + Sync + 'static) -> Self {
+    fn new(id: String, run: impl Fn(SchedMode) -> SystemSummary + Send + Sync + 'static) -> Self {
         Case {
             id,
             run: Box::new(run),
@@ -109,6 +103,9 @@ fn assert_cluster_identical(id: &str, dense: &ClusterSummary, event: &ClusterSum
         .attribution
         .verify(dense.cycles * dense.per_core.len() as u64)
         .unwrap_or_else(|e| panic!("{id}: cluster roll-up: {e}"));
+    // Every remaining field (issue traces, phase marks, queue
+    // high-water marks) in one comparison.
+    assert!(dense == event, "{id}: cluster summaries diverge");
 }
 
 /// Field-by-field comparison of two system summaries.
@@ -152,22 +149,26 @@ fn cluster_scaling_cases(cases: &mut Vec<Case>) {
                     if tiled { "tiled" } else { "unbounded" },
                     if chaining { "chaining" } else { "base" }
                 );
+                // A cluster point is the 1-cluster system, tiled behind a
+                // pass-through L2.
                 cases.push(Case::new(id.clone(), move |mode| {
                     let cfg = CoreConfig::new().with_chaining(chaining);
                     if tiled {
                         let tk = gen(grid, chaining)
-                            .build_tiled(cores, TCDM_CAP_BYTES)
+                            .build_system_tiled(1, cores, TCDM_CAP_BYTES)
                             .expect("grid tiles within 128 KiB");
-                        let run = tk
-                            .run_scheduled(cfg, DramConfig::new(), MAX_CYCLES, mode)
-                            .unwrap_or_else(|e| panic!("{id}: {e}"));
-                        Summary::Cluster(run.summary)
+                        let dram = DramConfig::new();
+                        tk.run_with(cfg, L2Config::passthrough(dram), dram, MAX_CYCLES, |b| {
+                            b.sched_mode(mode)
+                        })
+                        .unwrap_or_else(|e| panic!("{id}: {e}"))
+                        .summary
                     } else {
-                        let ck = gen(grid, chaining).build_cluster(cores);
-                        let run = ck
-                            .run_scheduled(cfg, MAX_CYCLES, mode)
-                            .unwrap_or_else(|e| panic!("{id}: {e}"));
-                        Summary::Cluster(run.summary)
+                        gen(grid, chaining)
+                            .build_system(1, cores)
+                            .run_with(cfg, MAX_CYCLES, |b| b.sched_mode(mode))
+                            .unwrap_or_else(|e| panic!("{id}: {e}"))
+                            .summary
                     }
                 }));
             }
@@ -195,21 +196,21 @@ fn system_scaling_cases(cases: &mut Vec<Case>) {
                                 .build_system_tiled(clusters, cores, TCDM_CAP_BYTES)
                                 .expect("slabs tile within 128 KiB");
                             let run = tk
-                                .run_scheduled(
+                                .run_with(
                                     cfg,
                                     L2Config::new(),
                                     DramConfig::new(),
                                     MAX_CYCLES,
-                                    mode,
+                                    |b| b.sched_mode(mode),
                                 )
                                 .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
+                            run.summary
                         } else {
                             let sk = gen(grid, chaining).build_system(clusters, cores);
                             let run = sk
-                                .run_scheduled(cfg, MAX_CYCLES, mode)
+                                .run_with(cfg, MAX_CYCLES, |b| b.sched_mode(mode))
                                 .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
+                            run.summary
                         }
                     }));
                 }
@@ -252,15 +253,15 @@ fn l2_ablation_cases(cases: &mut Vec<Case>) {
                             .build_system_tiled(2, 2, TCDM_CAP_BYTES)
                             .expect("slabs tile within 128 KiB");
                         let run = tk
-                            .run_scheduled(
+                            .run_with(
                                 CoreConfig::new().with_chaining(chaining),
                                 l2,
                                 DramConfig::new(),
                                 MAX_CYCLES,
-                                mode,
+                                |b| b.sched_mode(mode),
                             )
                             .unwrap_or_else(|e| panic!("{id}: {e}"));
-                        Summary::System(run.summary)
+                        run.summary
                     }));
                 }
             }
@@ -287,9 +288,9 @@ fn weak_scaling_cases(cases: &mut Vec<Case>) {
                         None => {
                             let sk = gen(grid, chaining).build_system(clusters, 4);
                             let run = sk
-                                .run_scheduled(cfg, MAX_CYCLES, mode)
+                                .run_with(cfg, MAX_CYCLES, |b| b.sched_mode(mode))
                                 .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
+                            run.summary
                         }
                         Some(ch) => {
                             let tk = gen(grid, chaining)
@@ -300,9 +301,11 @@ fn weak_scaling_cases(cases: &mut Vec<Case>) {
                                 .with_refill_latency(64)
                                 .with_refill_cycles_per_beat(1);
                             let run = tk
-                                .run_scheduled(cfg, l2, DramConfig::new(), MAX_CYCLES, mode)
+                                .run_with(cfg, l2, DramConfig::new(), MAX_CYCLES, |b| {
+                                    b.sched_mode(mode)
+                                })
                                 .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
+                            run.summary
                         }
                     }
                 }));
@@ -359,15 +362,15 @@ fn prefetch_ablation_cases(cases: &mut Vec<Case>) {
                                 .build_system_tiled(clusters, 4, TCDM_CAP_BYTES)
                                 .expect("slabs tile within the TCDM cap");
                             let run = tk
-                                .run_scheduled(
+                                .run_with(
                                     CoreConfig::new().with_chaining(chaining),
                                     l2,
                                     DramConfig::new(),
                                     MAX_CYCLES,
-                                    mode,
+                                    |b| b.sched_mode(mode),
                                 )
                                 .unwrap_or_else(|e| panic!("{id}: {e}"));
-                            Summary::System(run.summary)
+                            run.summary
                         }));
                     }
                 }
@@ -397,20 +400,10 @@ fn main() {
     let (verdicts, timing) = parallel_sweep(cases, |case| {
         let dense = (case.run)(SchedMode::Dense);
         let event = (case.run)(SchedMode::Event);
-        let cycles = match (&dense, &event) {
-            (Summary::Cluster(d), Summary::Cluster(e)) => {
-                assert_cluster_identical(&case.id, d, e);
-                d.cycles
-            }
-            (Summary::System(d), Summary::System(e)) => {
-                assert_system_identical(&case.id, d, e);
-                d.cycles
-            }
-            _ => unreachable!("a point always produces the same summary kind"),
-        };
+        assert_system_identical(&case.id, &dense, &event);
         Verdict {
             id: case.id,
-            cycles,
+            cycles: dense.cycles,
         }
     });
     assert_eq!(verdicts.len(), total);

@@ -45,7 +45,9 @@ fn main() {
 
     let session = TraceSession::new(TraceConfig::new().with_sample_every(256));
     let traced = tk
-        .run_traced(cfg, l2, DramConfig::new(), MAX_CYCLES, session.tracer())
+        .run_with(cfg, l2, DramConfig::new(), MAX_CYCLES, |b| {
+            b.tracer(session.tracer())
+        })
         .expect("traced run completes and verifies the same store image");
 
     // Tracing must be an observer: cycle-for-cycle identical results.

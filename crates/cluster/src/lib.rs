@@ -84,8 +84,7 @@
 use std::fmt;
 
 use sc_core::{
-    Component, Core, CoreConfig, DmaCommand, PerfCounters, RunSummary, SchedMode, Scheduler,
-    SimError, Wake,
+    Core, CoreConfig, DmaCommand, PerfCounters, RunSummary, SchedMode, Scheduler, SimError, Wake,
 };
 use sc_dma::{DmaEngine, DmaError, DmaStats, Transfer};
 use sc_isa::Program;
@@ -211,8 +210,10 @@ impl std::error::Error for ClusterError {
     }
 }
 
-/// Aggregated result of a completed cluster run.
-#[derive(Debug, Clone)]
+/// Aggregated result of a completed cluster run. Comparable as a whole,
+/// so identity tests (a 1-cluster system against a stand-alone cluster,
+/// event against dense stepping) pin every field at once.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSummary {
     /// Cluster cycles until the *last* core halted.
     pub cycles: u64,
@@ -539,17 +540,6 @@ impl Cluster {
         self.watchdog = Some(Watchdog::new(limit));
     }
 
-    /// Whether a hang watchdog is armed. A system owner embedding this
-    /// cluster caps every fast-forward at
-    /// [`Cluster::watchdog_skip_cap`] and owes a
-    /// [`Cluster::poll_watchdog`] after each window it advances without
-    /// dense cycles, so the watchdog fires at the identical cycle the
-    /// dense loop reports.
-    #[must_use]
-    pub fn watchdog_armed(&self) -> bool {
-        self.watchdog.is_some()
-    }
-
     /// The farthest absolute cycle an owner may fast-forward this
     /// cluster to without overshooting its local watchdog's firing
     /// point ([`sc_trace::Watchdog::skip_cap`]); `None` when no
@@ -707,11 +697,6 @@ impl Cluster {
     #[must_use]
     pub fn dram(&self) -> Option<&Dram> {
         self.dma.as_ref().and_then(|d| d.dram.as_ref())
-    }
-
-    /// Mutable background-memory access (private store only).
-    pub fn dram_mut(&mut self) -> Option<&mut Dram> {
-        self.dma.as_mut().and_then(|d| d.dram.as_mut())
     }
 
     /// The DMA engine, when attached (queue inspection in tests).
@@ -1190,33 +1175,15 @@ impl Cluster {
     /// and the cluster clock), the DMA engine's countdown and busy time
     /// progress — and, when a tracer with a sampling cadence is
     /// subscribed, the carry-forward counter rows the dense loop would
-    /// have emitted at each cadence point inside the window. Callers
-    /// must only skip up to the window [`Cluster::next_wake`] allows.
+    /// have emitted at each cadence point inside the window
+    /// ([`Tracer::owed_samples`]). Callers must only skip up to the
+    /// window [`Cluster::next_wake`] allows.
     pub fn skip_idle(&mut self, cycles: u64) {
-        let cadence = self.tracer.sample_cadence();
-        if !self.tracer.is_on() || cadence == 0 {
-            self.skip_quiet(cycles);
-            return;
-        }
-        // A row belongs to the window iff its cycle lies in
-        // [start, end) — dense stepping samples *during* a cadence
-        // cycle, so a window beginning exactly on a cadence multiple
-        // owns that cycle's row (the cycle has not been stepped yet),
-        // while the row for `end` itself belongs to whoever simulates
-        // cycle `end`. Tracking the next owed point explicitly keeps a
-        // window re-entered at a cadence point — a watchdog-capped
-        // partial skip, a stage boundary — from ever re-emitting a row
-        // a dense cycle or an earlier window already produced.
         let end = self.cycles + cycles;
-        let mut point = self.cycles.next_multiple_of(cadence);
-        while point < end {
-            // Advance through cycle `point` (its end-of-cycle
-            // bookkeeping included), then snapshot with the sink's
-            // clock rewound to it.
+        for point in self.tracer.owed_samples(self.cycles, cycles) {
             self.skip_quiet(point - self.cycles + 1);
             self.tracer.set_cycle(point);
             self.sample_now();
-            point += cadence;
         }
         self.skip_quiet(end - self.cycles);
     }
@@ -1272,21 +1239,13 @@ impl Cluster {
         }
     }
 
-    /// Emits the run-end partial-interval sample: a run whose length is
-    /// not a multiple of the sampling cadence would otherwise leave the
-    /// tail of every counter time-series invisible. No-op when the last
-    /// simulated cycle was itself a sampling point (the final state is
-    /// already captured) or when sampling is off.
+    /// Emits the run-end partial-interval sample when the run owes one
+    /// ([`Tracer::owes_final_sample`]).
     pub fn sample_final(&self) {
-        let cadence = self.tracer.sample_cadence();
-        if !self.tracer.is_on() || cadence == 0 {
-            return;
+        if self.tracer.owes_final_sample(self.cycles) {
+            self.tracer.set_cycle(self.cycles);
+            self.sample_now();
         }
-        if self.cycles > 0 && (self.cycles - 1).is_multiple_of(cadence) {
-            return;
-        }
-        self.tracer.set_cycle(self.cycles);
-        self.sample_now();
     }
 
     /// Runs until every core halts or the cycle budget is exhausted.
@@ -1400,20 +1359,6 @@ impl Cluster {
             attribution,
             per_core,
         }
-    }
-}
-
-impl Component for Cluster {
-    fn now(&self) -> u64 {
-        self.cycles
-    }
-
-    fn next_wake(&self) -> Wake {
-        Cluster::next_wake(self)
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        self.skip_idle(cycles);
     }
 }
 

@@ -1,5 +1,5 @@
 //! The next-event-time scheduling contract shared by every steppable
-//! simulation owner (cluster, system).
+//! simulation owner (`sc_cluster::Cluster`, `sc_system::System`).
 //!
 //! Dense lock-step simulation pays host time for every simulated cycle,
 //! including the long windows where nothing architectural can happen:
@@ -14,6 +14,12 @@
 //!   ([`Scheduler::plan`]) against externally imposed deadlines (cycle
 //!   budget, watchdog), and either bulk-skips the window or steps one
 //!   dense cycle.
+//!
+//! Each owner implements the contract as inherent methods —
+//! `next_wake` (conservative: reporting [`Wake::EveryCycle`] is always
+//! correct, a too-late wake never is) and `skip_idle` (bulk-applies a
+//! window no wider than the reported wake) — and drives them from its
+//! own `run` loop through a [`Scheduler`].
 //!
 //! A window is only skippable when every per-cycle phase of every
 //! component is provably a no-op apart from closed-form counter updates
@@ -74,30 +80,7 @@ pub enum SchedMode {
     Event,
 }
 
-/// The unified stepping contract: anything that owns a clock and can
-/// (a) report when it next needs a dense cycle and (b) bulk-apply an
-/// idle window, implements this. `sc-cluster` and `sc-system` are the
-/// in-tree implementors; their `run` loops drive the trait through a
-/// [`Scheduler`].
-pub trait Component {
-    /// The component's current cycle.
-    fn now(&self) -> u64;
-
-    /// The earliest future cycle at which a dense step could do anything
-    /// beyond closed-form bookkeeping. Must be conservative: reporting
-    /// [`Wake::EveryCycle`] is always correct, reporting a too-late wake
-    /// never is.
-    fn next_wake(&self) -> Wake;
-
-    /// Bulk-applies `cycles` idle cycles: advances the clock and every
-    /// closed-form counter exactly as that many dense steps would have,
-    /// given that [`Component::next_wake`] promised none of them could
-    /// act. Callers must never pass a window reaching past the reported
-    /// wake.
-    fn skip(&mut self, cycles: u64);
-}
-
-/// Plans fast-forward windows for a [`Component`] run loop.
+/// Plans fast-forward windows for a cluster or system run loop.
 ///
 /// The scheduler itself is deliberately stateless apart from the mode:
 /// each iteration re-derives the next event time from the component's

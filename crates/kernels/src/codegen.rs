@@ -18,13 +18,12 @@ use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
 use sc_mem::{Dram, MemError, Tcdm, TcdmConfig};
 use sc_ssr::CfgAddr;
 
-use crate::cluster_kernel::ClusterKernel;
 use crate::grid::Grid3;
 use crate::kernel::{verify_f64_exact, CheckFn, Kernel, SetupFn};
 use crate::partition::split_ranges;
 use crate::stencil::Stencil;
 use crate::system_kernel::{SystemCheckFn, SystemKernel, SystemSetupFn, TiledSystemKernel};
-use crate::tiling::{self, TileError, TiledClusterKernel, WaitStyle};
+use crate::tiling::{self, TileError, WaitStyle};
 use crate::variant::Variant;
 
 /// Memory placement of the kernel's arrays.
@@ -234,130 +233,17 @@ impl StencilKernel {
         )
     }
 
-    /// Generates a [`ClusterKernel`] with the grid's z-planes tiled
-    /// across `num_harts` harts. Each hart runs the same variant over a
-    /// contiguous slab (imbalance at most one plane; surplus harts get an
-    /// empty slab), marks its own measured region, and rendezvouses on
-    /// the cluster barrier before halting. A 1-hart cluster kernel uses
-    /// the identical program to [`StencilKernel::build`] plus the final
-    /// barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    #[must_use]
-    pub fn build_cluster(&self, num_harts: u32) -> ClusterKernel {
-        let slabs = split_ranges(self.grid.nz, num_harts, 1);
-        let sync = if num_harts > 1 {
-            SlabSync::Cluster
-        } else {
-            SlabSync::None
-        };
-        let programs = slabs
-            .iter()
-            .map(|&(z0, nzc)| self.emit_slab(z0, nzc, sync))
-            .collect();
-        let (setup, check) = self.data_fns();
-        ClusterKernel::new(
-            format!("{}/{} x{num_harts}", self.stencil.name(), self.variant),
-            programs,
-            self.flops(),
-            setup,
-            check,
-        )
-    }
-
-    /// Plans a double-buffered DMA tiling of this kernel for a TCDM of
-    /// at most `capacity` bytes (typically [`crate::TCDM_CAP_BYTES`], the
-    /// real cluster's 128 KiB) and `num_harts` harts.
-    ///
-    /// The whole padded input/output grids live in the background memory
-    /// at the same addresses the unbounded-TCDM layout uses; the TCDM
-    /// holds ping-pong tile buffers (input tiles carry their halo
-    /// planes/rows). The planner prefers whole-plane z-slabs — the tile
-    /// size is the largest plane count whose double-buffered footprint
-    /// fits the cap — and when even a **single plane** exceeds the cap it
-    /// falls back to 2-D x/y sub-tiling: one-plane tiles of the widest
-    /// y-strip that fits, moved with the engine's 2-D strided
-    /// descriptors (a y-strip is gathered plane by plane on fetch and
-    /// its interior rows scattered back on write-out). Results are
-    /// bit-identical to the unbounded run either way: every variant
-    /// executes the same FMA sequence per output point regardless of
-    /// tiling.
-    ///
-    /// # Errors
-    ///
-    /// [`TileError`] when even a one-plane, one-row tile cannot be
-    /// double-buffered within `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-    ) -> Result<TiledClusterKernel, TileError> {
-        self.build_tiled_with(num_harts, capacity, WaitStyle::Park)
-    }
-
-    /// [`StencilKernel::build_tiled`] with an explicit DMA completion
-    /// [`WaitStyle`]. [`WaitStyle::Park`] is exactly `build_tiled`:
-    /// the waiting hart retires nothing, which exposes idle windows to
-    /// the event-driven scheduler; [`WaitStyle::Poll`] models the
-    /// classic spin loop instead. Results are bit-identical either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// See [`StencilKernel::build_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled_with(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-        wait: WaitStyle,
-    ) -> Result<TiledClusterKernel, TileError> {
-        self.build_tiled_impl(num_harts, capacity, wait, false)
-    }
-
-    /// [`StencilKernel::build_tiled_with`] plus **kernel phase markers**:
-    /// every hart opens each tile-loop iteration with a `PHASE_MARK` CSR
-    /// write carrying the tile index, so the per-hart attribution can be
-    /// segmented into prologue / per-tile steady state / drain with
-    /// [`sc_perf::segment_phases`] (and a subscribed tracer shows a
-    /// `phase-mark` instant per boundary). The marks cost a couple of
-    /// retired integer instructions per tile per hart — profiled builds
-    /// are therefore **not** cycle-identical to the default builders and
-    /// are opt-in; results remain bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// See [`StencilKernel::build_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled_profiled(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-        wait: WaitStyle,
-    ) -> Result<TiledClusterKernel, TileError> {
-        self.build_tiled_impl(num_harts, capacity, wait, true)
-    }
-
-    fn build_tiled_impl(
+    /// Plans one cluster's double-buffered DMA tiling of this kernel
+    /// (its whole grid) for a TCDM of at most `capacity` bytes and
+    /// `num_harts` harts — the per-cluster step of
+    /// [`StencilKernel::build_system_tiled`], which documents the plan.
+    fn plan_tiles(
         &self,
         num_harts: u32,
         capacity: u32,
         wait: WaitStyle,
         phase_marks: bool,
-    ) -> Result<TiledClusterKernel, TileError> {
-        assert!(num_harts >= 1, "a cluster has at least one hart");
+    ) -> Result<tiling::TilePlan, TileError> {
         let grid = self.grid;
         let pp = grid.plane_pitch();
         let rp = grid.row_pitch();
@@ -492,7 +378,7 @@ impl StencilKernel {
 
         let working_set = tiling::WorkingSet::from_tiles(&tiles);
         let sched = tiling::schedule(&tiles);
-        let tile_programs = tile_kernels
+        let mut stages: Vec<Vec<Program>> = tile_kernels
             .iter()
             .zip(&sched.per_tile)
             .enumerate()
@@ -522,34 +408,29 @@ impl StencilKernel {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let epilogue =
-            tiling::epilogue_programs(num_harts, &sched.epilogue.0, sched.epilogue.1, wait);
-
-        let (setup, check) = self.dram_data_fns();
-        Ok(TiledClusterKernel::new(
-            format!(
-                "{}/{} x{num_harts} tiled",
-                self.stencil.name(),
-                self.variant
-            ),
-            TcdmConfig::new().with_size(cap),
-            tile_programs,
-            epilogue,
-            self.flops(),
+        stages.push(tiling::epilogue_programs(
+            num_harts,
+            &sched.epilogue.0,
+            sched.epilogue.1,
+            wait,
+        ));
+        Ok(tiling::TilePlan {
+            tcdm: TcdmConfig::new().with_size(cap),
+            stages,
             working_set,
-            setup,
-            check,
-        ))
+        })
     }
 
     /// Generates a [`SystemKernel`] with the grid's z-planes first
     /// partitioned into contiguous slabs across `num_clusters` clusters,
-    /// then each slab across that cluster's `harts_per_cluster` harts —
-    /// the cluster-level analogue of [`StencilKernel::build_cluster`],
-    /// keyed off the cluster-id CSR position the system assigns. Every
-    /// hart rendezvouses on the **inter-cluster barrier** (CSR 0x7C6)
-    /// before halting. A 1-cluster system kernel uses programs identical
-    /// to [`StencilKernel::build_cluster`]'s.
+    /// then each slab across that cluster's `harts_per_cluster` harts
+    /// (imbalance at most one plane; surplus harts get an empty slab).
+    /// Each hart runs the same variant over its slab and marks its own
+    /// measured region. Before halting, every hart rendezvouses on the
+    /// **inter-cluster barrier** (CSR 0x7C6) when there are several
+    /// clusters, on the cluster barrier when one cluster has several
+    /// harts; a 1×1 system kernel runs exactly [`StencilKernel::build`]'s
+    /// program. A cluster run is the `num_clusters == 1` point.
     ///
     /// # Panics
     ///
@@ -590,16 +471,34 @@ impl StencilKernel {
     }
 
     /// Plans per-cluster double-buffered DMA tilings of this kernel for
-    /// a multi-cluster system: the grid's z-planes are partitioned into
-    /// contiguous slabs across `num_clusters` clusters, and each cluster
-    /// runs [`StencilKernel::build_tiled`]'s pipeline over its own slab
-    /// — all engines streaming from ONE shared background image through
-    /// the shared L2. Surplus clusters (more clusters than planes) idle.
+    /// a TCDM of at most `capacity` bytes (typically
+    /// [`crate::TCDM_CAP_BYTES`], the real cluster's 128 KiB): the grid's
+    /// z-planes are partitioned into contiguous slabs across
+    /// `num_clusters` clusters, and each cluster runs its own tile
+    /// pipeline over its slab on `harts_per_cluster` harts — all engines
+    /// streaming from ONE shared background image through the shared L2.
+    /// Surplus clusters (more clusters than planes) idle. A tiled cluster
+    /// run is the `num_clusters == 1` point (behind
+    /// [`sc_mem::L2Config::passthrough`], a stand-alone DMA cluster).
+    ///
+    /// The whole padded input/output grids live in the background memory
+    /// at the same addresses the unbounded-TCDM layout uses; the TCDM
+    /// holds ping-pong tile buffers (input tiles carry their halo
+    /// planes/rows). The planner prefers whole-plane z-slabs — the tile
+    /// size is the largest plane count whose double-buffered footprint
+    /// fits the cap — and when even a **single plane** exceeds the cap it
+    /// falls back to 2-D x/y sub-tiling: one-plane tiles of the widest
+    /// y-strip that fits, moved with the engine's 2-D strided
+    /// descriptors (a y-strip is gathered plane by plane on fetch and
+    /// its interior rows scattered back on write-out). Results are
+    /// bit-identical to the unbounded run either way: every variant
+    /// executes the same FMA sequence per output point regardless of
+    /// tiling.
     ///
     /// # Errors
     ///
     /// [`TileError`] when any cluster's slab cannot be double-buffered
-    /// within `capacity`.
+    /// within `capacity`, even as one-plane, one-row tiles.
     ///
     /// # Panics
     ///
@@ -614,8 +513,11 @@ impl StencilKernel {
     }
 
     /// [`StencilKernel::build_system_tiled`] with an explicit DMA
-    /// completion [`WaitStyle`] for every cluster's tile pipeline (see
-    /// [`StencilKernel::build_tiled_with`]).
+    /// completion [`WaitStyle`] for every cluster's tile pipeline.
+    /// [`WaitStyle::Park`] is exactly `build_system_tiled`: the waiting
+    /// hart retires nothing, which exposes idle windows to the
+    /// event-driven scheduler; [`WaitStyle::Poll`] models the classic
+    /// spin loop instead. Results are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -634,10 +536,15 @@ impl StencilKernel {
         self.build_system_tiled_impl(num_clusters, harts_per_cluster, capacity, wait, false)
     }
 
-    /// [`StencilKernel::build_system_tiled_with`] with **kernel phase
-    /// markers** in every cluster's tile pipeline (see
-    /// [`StencilKernel::build_tiled_profiled`] for what the marks buy
-    /// and cost).
+    /// [`StencilKernel::build_system_tiled_with`] plus **kernel phase
+    /// markers**: every hart opens each tile-loop iteration with a
+    /// `PHASE_MARK` CSR write carrying the tile index, so the per-hart
+    /// attribution can be segmented into prologue / per-tile steady
+    /// state / drain with [`sc_perf::segment_phases`] (and a subscribed
+    /// tracer shows a `phase-mark` instant per boundary). The marks cost
+    /// a couple of retired integer instructions per tile per hart —
+    /// profiled builds are therefore **not** cycle-identical to the
+    /// default builders and are opt-in; results remain bit-identical.
     ///
     /// # Errors
     ///
@@ -697,14 +604,14 @@ impl StencilKernel {
                     coeff_base: self.layout.coeff_base,
                 },
             };
-            let tiled = sub.build_tiled_impl(harts_per_cluster, capacity, wait, phase_marks)?;
+            let plan = sub.plan_tiles(harts_per_cluster, capacity, wait, phase_marks)?;
             debug_assert!(
-                tcdm_cfg.is_none_or(|c| c == tiled.tcdm_config()),
+                tcdm_cfg.is_none_or(|c| c == plan.tcdm),
                 "every cluster plans the same capacity-capped TCDM"
             );
-            tcdm_cfg.get_or_insert(tiled.tcdm_config());
-            working_set.merge(tiled.working_set());
-            stages.push(tiled.stages());
+            tcdm_cfg.get_or_insert(plan.tcdm);
+            working_set.merge(&plan.working_set);
+            stages.push(plan.stages);
         }
         let (setup, check) = self.dram_data_fns();
         Ok(TiledSystemKernel::new(

@@ -12,7 +12,10 @@
 //! definitions with a golden model, and the [`Kernel`] harness that runs a
 //! generated program on the simulator and verifies its output bit-exactly
 //! against the golden model (all variants execute the same FMA sequence
-//! per output point, so equality is exact, not approximate).
+//! per output point, so equality is exact, not approximate). Multi-core
+//! runs go through [`SystemKernel`] (unbounded TCDMs) and
+//! [`TiledSystemKernel`] (DMA tiles through a shared L2); a cluster run
+//! is their one-cluster point.
 //!
 //! ```
 //! use sc_core::CoreConfig;
@@ -28,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cluster_kernel;
 mod codegen;
 mod grid;
 mod kernel;
@@ -40,7 +42,6 @@ mod tiling;
 mod variant;
 mod vecop;
 
-pub use cluster_kernel::{ClusterKernel, ClusterKernelRun};
 pub use codegen::{BuildError, Layout, StencilKernel};
 pub use grid::Grid3;
 pub use kernel::{verify_f64_exact, CheckFn, Kernel, KernelError, KernelRun, SetupFn, VerifyError};
@@ -50,10 +51,7 @@ pub use stencil::Stencil;
 pub use system_kernel::{
     SystemCheckFn, SystemKernel, SystemKernelRun, SystemSetupFn, TiledSystemKernel, TiledSystemRun,
 };
-pub use tiling::{
-    DramCheckFn, DramSetupFn, TileError, TiledClusterKernel, TiledRun, WaitStyle, WorkingSet,
-    TCDM_CAP_BYTES,
-};
+pub use tiling::{DramCheckFn, DramSetupFn, TileError, WaitStyle, WorkingSet, TCDM_CAP_BYTES};
 pub use variant::Variant;
 pub use vecop::{VecOpKernel, VecOpVariant};
 

@@ -14,17 +14,24 @@
 //!   pipelines independently — no global synchronisation until the
 //!   system simply ends when the last cluster drains its epilogue.
 //!
-//! Both regimes verify bit-exactly against the same golden model as the
-//! single-cluster paths, so multi-cluster runs are bit-identical to
-//! single-cluster runs of the same problem (pinned by the system
-//! proptests).
+//! A cluster run is the one-cluster point of either harness: a
+//! 1-cluster system is cycle- and counter-identical to a stand-alone
+//! [`sc_cluster::Cluster`] (behind [`L2Config::passthrough`] when
+//! tiled), pinned by the system proptests. Both regimes verify
+//! bit-exactly against the same golden model, so multi-cluster runs are
+//! bit-identical in results to single-cluster runs of the same problem.
+//!
+//! Each harness has one entry point, `run_with`, whose `configure`
+//! closure receives the [`SystemBuilder`] before it builds — the one
+//! way to choose the scheduling mode, subscribe a tracer or arm a
+//! watchdog (`|b| b.sched_mode(SchedMode::Event)`); `run` is
+//! `run_with` with the builder's defaults.
 
 use sc_cluster::ClusterConfig;
-use sc_core::{CoreConfig, PerfCounters, SchedMode};
+use sc_core::{CoreConfig, PerfCounters};
 use sc_isa::Program;
 use sc_mem::{Dram, DramConfig, L2Config, MemError, Tcdm, TcdmConfig};
 use sc_system::{SystemBuilder, SystemConfig, SystemSummary};
-use sc_trace::Tracer;
 
 use crate::kernel::{KernelError, VerifyError};
 use crate::tiling::{DramCheckFn, DramSetupFn, WorkingSet};
@@ -117,27 +124,28 @@ impl SystemKernel {
     /// System simulation errors, setup errors and verification
     /// mismatches are all reported as [`KernelError`].
     pub fn run(&self, cfg: CoreConfig, max_cycles: u64) -> Result<SystemKernelRun, KernelError> {
-        self.run_scheduled(cfg, max_cycles, SchedMode::Dense)
+        self.run_with(cfg, max_cycles, |b| b)
     }
 
-    /// [`SystemKernel::run`] under an explicit clock-advancement mode.
-    /// `SchedMode::Dense` is exactly `run`; `SchedMode::Event` must be
-    /// cycle- and stats-identical (pinned by the scheduler differential
-    /// tests).
+    /// [`SystemKernel::run`] with the [`SystemBuilder`] passed through
+    /// `configure` before it builds (scheduling mode, tracer, watchdog).
+    /// `|b| b` is exactly `run`; `SchedMode::Event` must be cycle- and
+    /// stats-identical to the default dense mode (pinned by the
+    /// scheduler differential tests).
     ///
     /// # Errors
     ///
     /// See [`SystemKernel::run`].
-    pub fn run_scheduled(
+    pub fn run_with(
         &self,
         cfg: CoreConfig,
         max_cycles: u64,
-        mode: SchedMode,
+        configure: impl FnOnce(SystemBuilder) -> SystemBuilder,
     ) -> Result<SystemKernelRun, KernelError> {
         let scfg = SystemConfig::new(self.num_clusters() as u32, self.harts_per_cluster() as u32)
             .with_cluster(ClusterConfig::new(self.harts_per_cluster() as u32).with_core(cfg));
         let stages = self.programs.iter().map(|p| vec![p.clone()]).collect();
-        let mut system = SystemBuilder::new(scfg, stages).sched_mode(mode).build();
+        let mut system = configure(SystemBuilder::new(scfg, stages)).build();
         for c in 0..self.num_clusters() {
             (self.setup)(c as u32, system.cluster_mut(c).tcdm_mut())?;
         }
@@ -167,10 +175,16 @@ pub struct SystemKernelRun {
 }
 
 impl SystemKernelRun {
-    /// Sum of each hart's measured-region counters across all clusters,
-    /// with `cycles` set to the longest per-hart measured region —
-    /// harts that did no measured work (empty slabs) are excluded, like
-    /// [`crate::ClusterKernelRun::measured`].
+    /// Sum of each hart's *measured-region* counters across all
+    /// clusters, with `cycles` set to the longest per-hart measured
+    /// region — the multi-hart analogue of
+    /// [`sc_core::RunSummary::measured`].
+    ///
+    /// Harts that did no measured work (surplus harts with an empty
+    /// slab never open a region) are excluded, so an 8-hart run over a
+    /// 4-plane grid is not skewed by idle harts' whole-run counters;
+    /// only when *no* hart marked a region does this fall back to
+    /// whole-run counters for every hart.
     #[must_use]
     pub fn measured(&self) -> PerfCounters {
         let any_region = self
@@ -319,81 +333,28 @@ impl TiledSystemKernel {
         dram_cfg: DramConfig,
         max_cycles: u64,
     ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(
-            cfg,
-            l2_cfg,
-            dram_cfg,
-            max_cycles,
-            Tracer::off(),
-            SchedMode::Dense,
-        )
+        self.run_with(cfg, l2_cfg, dram_cfg, max_cycles, |b| b)
     }
 
-    /// [`TiledSystemKernel::run`] with a trace subscription: every hart,
-    /// DMA engine, TCDM and the shared L2 emit onto `tracer` for the
-    /// whole run. Passing [`Tracer::off`] is exactly `run`.
+    /// [`TiledSystemKernel::run`] with the [`SystemBuilder`] passed
+    /// through `configure` before it builds: the scheduling mode, a
+    /// trace subscription (every hart, DMA engine, TCDM and the shared
+    /// L2 emit onto it for the whole run) or a watchdog. `|b| b` is
+    /// exactly `run`; an event-driven run, traced or not, must be
+    /// cycle- and stats-identical to a dense one and export the same
+    /// timeline and sampled counters (pinned by the scheduler and
+    /// trace-identity tests).
     ///
     /// # Errors
     ///
     /// See [`TiledSystemKernel::run`].
-    pub fn run_traced(
+    pub fn run_with(
         &self,
         cfg: CoreConfig,
         l2_cfg: L2Config,
         dram_cfg: DramConfig,
         max_cycles: u64,
-        tracer: Tracer,
-    ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(cfg, l2_cfg, dram_cfg, max_cycles, tracer, SchedMode::Dense)
-    }
-
-    /// [`TiledSystemKernel::run`] under an explicit clock-advancement
-    /// mode. `SchedMode::Dense` is exactly `run`; `SchedMode::Event`
-    /// must be cycle- and stats-identical (pinned by the scheduler
-    /// differential tests).
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledSystemKernel::run`].
-    pub fn run_scheduled(
-        &self,
-        cfg: CoreConfig,
-        l2_cfg: L2Config,
-        dram_cfg: DramConfig,
-        max_cycles: u64,
-        mode: SchedMode,
-    ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(cfg, l2_cfg, dram_cfg, max_cycles, Tracer::off(), mode)
-    }
-
-    /// [`TiledSystemKernel::run_traced`] under an explicit
-    /// clock-advancement mode: the combination the trace-identity tests
-    /// pin — an event-driven run with a subscriber attached must export
-    /// the same timeline and sampled counters as a dense one.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledSystemKernel::run`].
-    pub fn run_traced_scheduled(
-        &self,
-        cfg: CoreConfig,
-        l2_cfg: L2Config,
-        dram_cfg: DramConfig,
-        max_cycles: u64,
-        tracer: Tracer,
-        mode: SchedMode,
-    ) -> Result<TiledSystemRun, KernelError> {
-        self.run_inner(cfg, l2_cfg, dram_cfg, max_cycles, tracer, mode)
-    }
-
-    fn run_inner(
-        &self,
-        cfg: CoreConfig,
-        l2_cfg: L2Config,
-        dram_cfg: DramConfig,
-        max_cycles: u64,
-        tracer: Tracer,
-        mode: SchedMode,
+        configure: impl FnOnce(SystemBuilder) -> SystemBuilder,
     ) -> Result<TiledSystemRun, KernelError> {
         let core_cfg = CoreConfig {
             tcdm: self.tcdm,
@@ -404,11 +365,8 @@ impl TiledSystemKernel {
             .with_l2(l2_cfg);
         let mut dram = Dram::new(dram_cfg);
         (self.setup)(&mut dram)?;
-        let mut system = SystemBuilder::new(scfg, self.stages.clone())
-            .dram(dram)
-            .tracer(tracer)
-            .sched_mode(mode)
-            .build();
+        let mut system =
+            configure(SystemBuilder::new(scfg, self.stages.clone()).dram(dram)).build();
         let summary = system.run(max_cycles)?;
         debug_assert!(
             (0..self.num_clusters())

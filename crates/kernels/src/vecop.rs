@@ -9,10 +9,10 @@ use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
 use sc_mem::{MemError, Tcdm};
 use sc_ssr::CfgAddr;
 
-use crate::cluster_kernel::ClusterKernel;
 use crate::kernel::{verify_f64_exact, CheckFn, Kernel, SetupFn};
 use crate::partition::split_ranges;
-use crate::tiling::{self, TileError, TiledClusterKernel};
+use crate::system_kernel::{SystemKernel, TiledSystemKernel};
+use crate::tiling::{self, TileError};
 
 /// The three code variants of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,30 +149,31 @@ impl VecOpKernel {
         )
     }
 
-    /// Builds a [`ClusterKernel`] with the element range split into
-    /// contiguous per-hart chunks (each a multiple of the unroll;
-    /// imbalance at most one unroll group; surplus harts idle). Every
-    /// hart rendezvouses on the cluster barrier before halting. A 1-hart
-    /// cluster kernel uses the identical program to
-    /// [`VecOpKernel::build`] plus the final barrier.
+    /// Builds a 1-cluster [`SystemKernel`] with the element range split
+    /// into contiguous per-hart chunks (each a multiple of the unroll;
+    /// imbalance at most one unroll group; surplus harts idle). With
+    /// several harts, every hart rendezvouses on the cluster barrier
+    /// before halting; a 1-hart kernel runs exactly
+    /// [`VecOpKernel::build`]'s program.
     ///
     /// # Panics
     ///
     /// Panics if `num_harts` is zero.
     #[must_use]
-    pub fn build_cluster(&self, num_harts: u32) -> ClusterKernel {
+    pub fn build_cluster(&self, num_harts: u32) -> SystemKernel {
+        assert!(num_harts >= 1, "a cluster has at least one hart");
         let ranges = split_ranges(self.n, num_harts, self.unroll);
         let programs = ranges
             .iter()
             .map(|&(start, len)| self.emit_range(start, len, num_harts > 1))
             .collect();
         let (setup, check) = self.data_fns();
-        ClusterKernel::new(
+        SystemKernel::new(
             format!("vecop/{} x{num_harts}", self.variant),
-            programs,
+            vec![programs],
             u64::from(2 * self.n),
-            setup,
-            check,
+            Box::new(move |_, tcdm| setup(tcdm)),
+            Box::new(move |_, tcdm| check(tcdm)),
         )
     }
 
@@ -289,10 +290,12 @@ impl VecOpKernel {
     }
 
     /// Plans a double-buffered DMA tiling of the vecop for a TCDM of at
-    /// most `capacity` bytes: the `c`/`d`/`a` vectors live in the
-    /// background memory at the whole-problem addresses, and the TCDM
-    /// holds six ping-pong tile buffers (two per vector) plus the scalar
-    /// `b`. See [`crate::TiledClusterKernel`] for the pipeline.
+    /// most `capacity` bytes, as a 1-cluster [`TiledSystemKernel`]: the
+    /// `c`/`d`/`a` vectors live in the background memory at the
+    /// whole-problem addresses, and the TCDM holds six ping-pong tile
+    /// buffers (two per vector) plus the scalar `b`. Harts park on
+    /// [`crate::WaitStyle::Park`] completion waits. See the
+    /// `tiling` module docs for the pipeline.
     ///
     /// # Errors
     ///
@@ -306,29 +309,9 @@ impl VecOpKernel {
         &self,
         num_harts: u32,
         capacity: u32,
-    ) -> Result<TiledClusterKernel, TileError> {
-        self.build_tiled_with(num_harts, capacity, tiling::WaitStyle::Park)
-    }
-
-    /// [`VecOpKernel::build_tiled`] with an explicit DMA completion
-    /// [`crate::WaitStyle`] (see
-    /// [`crate::StencilKernel::build_tiled_with`]). Results are
-    /// bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// See [`VecOpKernel::build_tiled`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_harts` is zero.
-    pub fn build_tiled_with(
-        &self,
-        num_harts: u32,
-        capacity: u32,
-        wait: tiling::WaitStyle,
-    ) -> Result<TiledClusterKernel, TileError> {
+    ) -> Result<TiledSystemKernel, TileError> {
         assert!(num_harts >= 1, "a cluster has at least one hart");
+        let wait = tiling::WaitStyle::Park;
         let bufs_base = 0x140u32; // past the scalar at B_ADDR
                                   // The cap is hard: round DOWN to a whole TCDM interleave line
                                   // (see the stencil planner) and plan against the rounded size.
@@ -390,7 +373,7 @@ impl VecOpKernel {
 
         let working_set = tiling::WorkingSet::from_tiles(&tiles);
         let sched = tiling::schedule(&tiles);
-        let tile_programs = ranges
+        let mut stages: Vec<Vec<Program>> = ranges
             .iter()
             .zip(&sched.per_tile)
             .enumerate()
@@ -417,15 +400,19 @@ impl VecOpKernel {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let epilogue =
-            tiling::epilogue_programs(num_harts, &sched.epilogue.0, sched.epilogue.1, wait);
+        stages.push(tiling::epilogue_programs(
+            num_harts,
+            &sched.epilogue.0,
+            sched.epilogue.1,
+            wait,
+        ));
 
         let (setup, check) = self.dram_data_fns();
-        Ok(TiledClusterKernel::new(
+        Ok(TiledSystemKernel::new(
             format!("vecop/{} x{num_harts} tiled", self.variant),
             sc_mem::TcdmConfig::new().with_size(cap),
-            tile_programs,
-            epilogue,
+            vec![stages],
+            num_harts,
             u64::from(2 * self.n),
             working_set,
             setup,

@@ -90,10 +90,10 @@ proptest! {
             .with_refill_cycles_per_beat(1)
             .with_bank_width(8);
         let dense = tk
-            .run_scheduled(cfg, l2, DramConfig::new(), MAX_CYCLES, SchedMode::Dense)
+            .run_with(cfg, l2, DramConfig::new(), MAX_CYCLES, |b| b.sched_mode(SchedMode::Dense))
             .map_err(|e| TestCaseError::fail(format!("dense: {e}")))?;
         let event = tk
-            .run_scheduled(cfg, l2, DramConfig::new(), MAX_CYCLES, SchedMode::Event)
+            .run_with(cfg, l2, DramConfig::new(), MAX_CYCLES, |b| b.sched_mode(SchedMode::Event))
             .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
 
         check_system("dense", &dense.summary)?;
@@ -124,10 +124,10 @@ proptest! {
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
         for mode in [SchedMode::Dense, SchedMode::Event] {
             let run = gen
-                .build_cluster(harts)
-                .run_scheduled(cfg, MAX_CYCLES, mode)
+                .build_system(1, harts)
+                .run_with(cfg, MAX_CYCLES, |b| b.sched_mode(mode))
                 .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))?;
-            check_cluster("cluster", &run.summary)?;
+            check_system("cluster", &run.summary)?;
         }
     }
 }
@@ -222,17 +222,20 @@ fn profiled_builds_mark_phases_and_segments_resum() {
     let dram = DramConfig::new().with_latency(32);
 
     let plain = gen
-        .build_tiled_with(harts, cap, WaitStyle::Poll)
+        .build_system_tiled_with(1, harts, cap, WaitStyle::Poll)
         .expect("grid tiles");
     let profiled = gen
-        .build_tiled_profiled(harts, cap, WaitStyle::Poll)
+        .build_system_tiled_profiled(1, harts, cap, WaitStyle::Poll)
         .expect("grid tiles");
-    let plain_run = plain.run(cfg, dram, MAX_CYCLES).expect("plain runs");
-    let run = profiled.run(cfg, dram, MAX_CYCLES).expect("profiled runs");
+    let l2 = L2Config::passthrough(dram);
+    let plain_run = plain.run(cfg, l2, dram, MAX_CYCLES).expect("plain runs");
+    let run = profiled
+        .run(cfg, l2, dram, MAX_CYCLES)
+        .expect("profiled runs");
 
     let num_tiles = run.num_tiles;
     assert!(num_tiles >= 2, "the point must actually tile");
-    for (h, core) in run.summary.per_core.iter().enumerate() {
+    for (h, core) in run.summary.per_cluster[0].per_core.iter().enumerate() {
         let marks = core.phase_marks.clone();
         assert_eq!(
             marks.len(),
@@ -265,15 +268,14 @@ fn profiled_builds_mark_phases_and_segments_resum() {
     // Default builders emit no marks, and the profiled overhead stays a
     // perturbation, not a different pipeline (same tile count, same
     // DMA traffic).
-    assert!(plain_run
-        .summary
+    assert!(plain_run.summary.per_cluster[0]
         .per_core
         .iter()
         .all(|c| c.phase_marks.is_empty()));
     assert_eq!(plain_run.num_tiles, num_tiles);
     assert_eq!(
-        plain_run.summary.dma.as_ref().map(|d| d.stats.beats),
-        run.summary.dma.as_ref().map(|d| d.stats.beats),
+        plain_run.summary.total_dma_beats(),
+        run.summary.total_dma_beats()
     );
 
     // The system-level profiled builder threads marks into every

@@ -138,7 +138,7 @@ fn partitioned_stencil_verifies_on_every_hart_count() {
         .run(CoreConfig::new(), 50_000_000)
         .expect("single-core runs");
     for harts in [1u32, 2, 3, 4, 8] {
-        let ck = gen.build_cluster(harts);
+        let ck = gen.build_system(1, harts);
         let run = ck
             .run(CoreConfig::new(), 50_000_000)
             .unwrap_or_else(|e| panic!("{} harts: {e}", harts));
@@ -158,7 +158,7 @@ fn partitioned_stencil_verifies_on_every_hart_count() {
             );
         }
         assert_eq!(
-            run.summary.barriers,
+            run.summary.per_cluster[0].barriers,
             u64::from(harts > 1),
             "one final rendezvous"
         );
@@ -191,23 +191,14 @@ fn n_core_runs_are_deterministic() {
     let gen = StencilKernel::new(Stencil::j3d27pt(), Grid3::new(8, 4, 4), Variant::Chaining)
         .expect("valid");
     let run = |_: u32| {
-        gen.build_cluster(4)
+        gen.build_system(1, 4)
             .run(CoreConfig::new(), 50_000_000)
             .expect("cluster runs")
             .summary
+            .per_cluster
+            .remove(0)
     };
-    let a = run(0);
-    let b = run(1);
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.core_done_at, b.core_done_at);
-    assert_eq!(a.core_conflicts, b.core_conflicts);
-    assert_eq!(a.core_accesses, b.core_accesses);
-    assert_eq!(a.conflicts_by_bank, b.conflicts_by_bank);
-    assert_eq!(a.accesses_by_bank, b.accesses_by_bank);
-    for (ca, cb) in a.per_core.iter().zip(&b.per_core) {
-        assert_eq!(ca.counters, cb.counters);
-        assert_eq!(ca.region, cb.region);
-    }
+    assert_eq!(run(0), run(1), "every summary field repeats");
 }
 
 #[test]
@@ -219,7 +210,7 @@ fn contention_appears_when_banks_shrink() {
         StencilKernel::new(Stencil::box3d1r(), Grid3::new(8, 4, 4), Variant::Base).expect("valid");
     let cycles_with_banks = |banks: u32| {
         let cfg = CoreConfig::new().with_tcdm(TcdmConfig::new().with_banks(banks));
-        let run = gen.build_cluster(4).run(cfg, 100_000_000).expect("runs");
+        let run = gen.build_system(1, 4).run(cfg, 100_000_000).expect("runs");
         (run.summary.cycles, run.summary.aggregate.tcdm_conflicts)
     };
     let (cycles_wide, conflicts_wide) = cycles_with_banks(32);

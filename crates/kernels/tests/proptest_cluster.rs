@@ -24,12 +24,12 @@ proptest! {
         let nx = xblk * 8; // multiple of both unroll factors (8 and 4)
         let gen = StencilKernel::new(Stencil::box3d1r(), Grid3::new(nx, ny, nz), variant)
             .expect("valid combination");
-        let ck = gen.build_cluster(harts);
+        let ck = gen.build_system(1, harts);
         let run = ck
             .run(CoreConfig::new(), 50_000_000)
             .map_err(|e| TestCaseError::fail(format!("{}: {e}", ck.name())))?;
         prop_assert_eq!(run.summary.aggregate.flops, ck.flops());
-        prop_assert_eq!(run.summary.per_core.len(), harts as usize);
+        prop_assert_eq!(run.summary.per_cluster[0].per_core.len(), harts as usize);
 
         // One hart partitions into the identical single-core program:
         // the cluster must match the legacy simulator cycle-for-cycle.
@@ -39,7 +39,10 @@ proptest! {
                 .run(CoreConfig::new(), 50_000_000)
                 .map_err(|e| TestCaseError::fail(format!("legacy: {e}")))?;
             prop_assert_eq!(run.summary.cycles, legacy.summary.cycles);
-            prop_assert_eq!(run.summary.per_core[0].counters, legacy.summary.counters);
+            prop_assert_eq!(
+                run.summary.per_cluster[0].per_core[0].counters,
+                legacy.summary.counters
+            );
         }
     }
 

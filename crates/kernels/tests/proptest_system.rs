@@ -7,8 +7,10 @@
 //!   single-cluster runs of the same problem (determinism under L2
 //!   arbitration), and deterministic across repeated runs.
 
+mod common;
+
 use proptest::prelude::*;
-use sc_core::CoreConfig;
+use sc_core::{CoreConfig, SchedMode};
 use sc_kernels::{Grid3, Stencil, StencilKernel, Variant};
 use sc_mem::{DramConfig, L2Config};
 
@@ -17,8 +19,11 @@ const MAX_CYCLES: u64 = 50_000_000;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A 1-cluster unbounded system kernel must match the equivalent
-    /// cluster kernel cycle-for-cycle and counter-for-counter.
+    /// A 1-cluster unbounded system kernel must match a stand-alone
+    /// cluster running the same programs, in both scheduling modes:
+    /// cycles and the whole cluster summary callers read from
+    /// `per_cluster[0]` (per-core counters and regions, `core_done_at`,
+    /// barriers, per-bank conflicts, attribution).
     #[test]
     fn one_cluster_system_is_cycle_identical_to_cluster(
         xblk in 1u32..3,
@@ -31,28 +36,22 @@ proptest! {
         let gen = StencilKernel::new(Stencil::box3d1r(), Grid3::new(xblk * 8, ny, nz), variant)
             .expect("valid combination");
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
-
-        let cluster_run = gen
-            .build_cluster(harts)
-            .run(cfg, MAX_CYCLES)
-            .map_err(|e| TestCaseError::fail(format!("cluster: {e}")))?;
-        let system_run = gen
-            .build_system(1, harts)
-            .run(cfg, MAX_CYCLES)
-            .map_err(|e| TestCaseError::fail(format!("system: {e}")))?;
-
-        prop_assert_eq!(system_run.summary.cycles, cluster_run.summary.cycles);
-        let sys_cluster = &system_run.summary.per_cluster[0];
-        for (a, b) in cluster_run.summary.per_core.iter().zip(&sys_cluster.per_core) {
-            prop_assert_eq!(&a.counters, &b.counters);
-            prop_assert_eq!(&a.region, &b.region);
+        let kernel = gen.build_system(1, harts);
+        for mode in [SchedMode::Dense, SchedMode::Event] {
+            let reference = common::cluster_reference(&gen, &kernel, cfg, mode, MAX_CYCLES)
+                .map_err(|e| TestCaseError::fail(format!("cluster {mode:?}: {e}")))?;
+            let system = kernel
+                .run_with(cfg, MAX_CYCLES, |b| b.sched_mode(mode))
+                .map_err(|e| TestCaseError::fail(format!("system {mode:?}: {e}")))?;
+            prop_assert_eq!(system.summary.cycles, reference.cycles);
+            prop_assert_eq!(&system.summary.per_cluster[0], &reference);
         }
-        prop_assert_eq!(sys_cluster.barriers, cluster_run.summary.barriers);
     }
 
-    /// A 1-cluster *tiled* system behind a pass-through L2 must match
-    /// the equivalent tiled cluster kernel cycle-for-cycle, DMA and
-    /// overlap metrics included.
+    /// A 1-cluster *tiled* system behind a pass-through L2 must match a
+    /// stand-alone DMA cluster running the same stage sequence over a
+    /// private background memory, in both scheduling modes: the whole
+    /// cluster summary, DMA and overlap metrics included.
     #[test]
     fn one_cluster_tiled_system_matches_tiled_cluster(
         ny in 2u32..5,
@@ -60,35 +59,26 @@ proptest! {
         harts in 1u32..4,
         cap_kib in 6u32..10,
     ) {
-        let gen = StencilKernel::new(
-            Stencil::box3d1r(),
-            Grid3::new(8, ny, nz),
-            Variant::ChainingPlus,
-        )
-        .expect("valid combination");
-        let cap = cap_kib << 10;
-        let (Ok(tiled_cluster), Ok(tiled_system)) =
-            (gen.build_tiled(harts, cap), gen.build_system_tiled(1, harts, cap))
-        else {
-            // Too small a cap is a clean rejection on both paths.
-            prop_assert!(gen.build_tiled(harts, cap).is_err());
-            prop_assert!(gen.build_system_tiled(1, harts, cap).is_err());
-            return Ok(());
+        let grid = Grid3::new(8, ny, nz);
+        let gen = StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus)
+            .expect("valid combination");
+        let Ok(tiled) = gen.build_system_tiled(1, harts, cap_kib << 10) else {
+            return Ok(()); // cap too small — a clean rejection
         };
         let cfg = CoreConfig::new();
         let dram_cfg = DramConfig::new().with_latency(32);
-        let cluster_run = tiled_cluster
-            .run(cfg, dram_cfg, MAX_CYCLES)
-            .map_err(|e| TestCaseError::fail(format!("tiled cluster: {e}")))?;
-        let system_run = tiled_system
-            .run(cfg, L2Config::passthrough(dram_cfg), dram_cfg, MAX_CYCLES)
-            .map_err(|e| TestCaseError::fail(format!("tiled system: {e}")))?;
-
-        prop_assert_eq!(system_run.summary.cycles, cluster_run.summary.cycles);
-        let sys_cluster = &system_run.summary.per_cluster[0];
-        prop_assert_eq!(&sys_cluster.dma, &cluster_run.summary.dma);
-        for (a, b) in cluster_run.summary.per_core.iter().zip(&sys_cluster.per_core) {
-            prop_assert_eq!(&a.counters, &b.counters);
+        for mode in [SchedMode::Dense, SchedMode::Event] {
+            let reference = common::tiled_cluster_reference(
+                &gen, &grid, &tiled, cfg, dram_cfg, mode, MAX_CYCLES,
+            )
+            .map_err(|e| TestCaseError::fail(format!("tiled cluster {mode:?}: {e}")))?;
+            let system = tiled
+                .run_with(cfg, L2Config::passthrough(dram_cfg), dram_cfg, MAX_CYCLES, |b| {
+                    b.sched_mode(mode)
+                })
+                .map_err(|e| TestCaseError::fail(format!("tiled system {mode:?}: {e}")))?;
+            prop_assert_eq!(system.summary.cycles, reference.cycles);
+            prop_assert_eq!(&system.summary.per_cluster[0], &reference);
         }
     }
 

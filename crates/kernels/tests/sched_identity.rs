@@ -8,6 +8,8 @@
 //! skip clock ranges where stepping would provably change nothing; any
 //! divergence here means it skipped a cycle that mattered.
 
+mod common;
+
 use proptest::prelude::*;
 use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterError};
 use sc_core::{CoreConfig, SchedMode};
@@ -18,26 +20,15 @@ use sc_trace::{TraceConfig, TraceSession};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
-/// Compares every cycle-visible field of two cluster summaries.
+/// Compares two cluster summaries as a whole: every cycle-visible
+/// field (per-core counters and regions, `core_done_at`, per-bank
+/// conflicts, barriers, DMA and overlap metrics, attribution).
 fn assert_cluster_identical(
-    dense: &sc_cluster::ClusterSummary,
-    event: &sc_cluster::ClusterSummary,
+    a: &sc_cluster::ClusterSummary,
+    b: &sc_cluster::ClusterSummary,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(dense.cycles, event.cycles, "cluster cycles diverge");
-    prop_assert_eq!(dense.per_core.len(), event.per_core.len());
-    for (a, b) in dense.per_core.iter().zip(&event.per_core) {
-        prop_assert_eq!(&a.counters, &b.counters, "per-core counters diverge");
-        prop_assert_eq!(&a.region, &b.region, "measured regions diverge");
-    }
-    prop_assert_eq!(&dense.aggregate, &event.aggregate);
-    prop_assert_eq!(&dense.core_done_at, &event.core_done_at);
-    prop_assert_eq!(&dense.core_conflicts, &event.core_conflicts);
-    prop_assert_eq!(&dense.core_accesses, &event.core_accesses);
-    prop_assert_eq!(&dense.conflicts_by_bank, &event.conflicts_by_bank);
-    prop_assert_eq!(&dense.accesses_by_bank, &event.accesses_by_bank);
-    prop_assert_eq!(dense.barriers, event.barriers);
-    prop_assert_eq!(dense.system_barriers, event.system_barriers);
-    prop_assert_eq!(&dense.dma, &event.dma, "DMA stats/overlap diverge");
+    prop_assert_eq!(a.cycles, b.cycles, "cluster cycles diverge");
+    prop_assert_eq!(a, b, "cluster summaries diverge");
     Ok(())
 }
 
@@ -74,7 +65,10 @@ proptest! {
 
     /// Tiled cluster pipelines — DMA countdown bubbles, completion
     /// waits (both styles) and cluster barriers — run cycle- and
-    /// stats-identically under the event scheduler.
+    /// stats-identically under the event scheduler, both on a
+    /// stand-alone DMA cluster and as the 1-cluster system behind a
+    /// pass-through L2 that tiled cluster runs go through; the two
+    /// match each other in either mode.
     #[test]
     fn tiled_cluster_event_equals_dense(
         ny in 2u32..5,
@@ -84,24 +78,31 @@ proptest! {
         latency_idx in 0usize..4,
         parked in any::<bool>(),
     ) {
-        let gen = StencilKernel::new(
-            Stencil::box3d1r(),
-            Grid3::new(8, ny, nz),
-            Variant::ChainingPlus,
-        )
-        .expect("valid combination");
-        let Ok(tiled) = gen.build_tiled_with(harts, cap_kib << 10, wait_style(parked)) else {
+        let grid = Grid3::new(8, ny, nz);
+        let gen = StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus)
+            .expect("valid combination");
+        let Ok(tiled) =
+            gen.build_system_tiled_with(1, harts, cap_kib << 10, wait_style(parked))
+        else {
             return Ok(()); // cap too small — nothing to compare
         };
         let cfg = CoreConfig::new();
         let dram_cfg = DramConfig::new().with_latency([0u32, 16, 64, 256][latency_idx]);
-        let dense = tiled
-            .run_scheduled(cfg, dram_cfg, MAX_CYCLES, SchedMode::Dense)
-            .map_err(|e| TestCaseError::fail(format!("dense: {e}")))?;
-        let event = tiled
-            .run_scheduled(cfg, dram_cfg, MAX_CYCLES, SchedMode::Event)
-            .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
-        assert_cluster_identical(&dense.summary, &event.summary)?;
+        let mut references = Vec::new();
+        for mode in [SchedMode::Dense, SchedMode::Event] {
+            let reference = common::tiled_cluster_reference(
+                &gen, &grid, &tiled, cfg, dram_cfg, mode, MAX_CYCLES,
+            )
+            .map_err(|e| TestCaseError::fail(format!("cluster {mode:?}: {e}")))?;
+            let system = tiled
+                .run_with(cfg, L2Config::passthrough(dram_cfg), dram_cfg, MAX_CYCLES, |b| {
+                    b.sched_mode(mode)
+                })
+                .map_err(|e| TestCaseError::fail(format!("system {mode:?}: {e}")))?;
+            assert_cluster_identical(&reference, &system.summary.per_cluster[0])?;
+            references.push(reference);
+        }
+        assert_cluster_identical(&references[0], &references[1])?;
     }
 
     /// Multi-cluster tiled runs through a refilling, capacity-pressured
@@ -142,12 +143,12 @@ proptest! {
             .with_ways(4)
             .with_write_back(true);
         let cfg = CoreConfig::new();
-        let dense = tiled
-            .run_scheduled(cfg, l2_cfg, DramConfig::new(), MAX_CYCLES, SchedMode::Dense)
-            .map_err(|e| TestCaseError::fail(format!("dense: {e}")))?;
-        let event = tiled
-            .run_scheduled(cfg, l2_cfg, DramConfig::new(), MAX_CYCLES, SchedMode::Event)
-            .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
+        let run = |mode: SchedMode| {
+            tiled
+                .run_with(cfg, l2_cfg, DramConfig::new(), MAX_CYCLES, |b| b.sched_mode(mode))
+                .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))
+        };
+        let (dense, event) = (run(SchedMode::Dense)?, run(SchedMode::Event)?);
         assert_system_identical(&dense.summary, &event.summary)?;
     }
 
@@ -186,7 +187,9 @@ proptest! {
         for mode in [SchedMode::Dense, SchedMode::Event] {
             let session = TraceSession::new(TraceConfig::new().with_sample_every(cadence));
             let run = tiled
-                .run_traced_scheduled(cfg, l2_cfg, dram_cfg, MAX_CYCLES, session.tracer(), mode)
+                .run_with(cfg, l2_cfg, dram_cfg, MAX_CYCLES, |b| {
+                    b.tracer(session.tracer()).sched_mode(mode)
+                })
                 .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))?;
             exports.push((run.summary, session.samples_csv()));
         }
@@ -275,7 +278,8 @@ proptest! {
     /// Unbounded system kernels: uneven z-partitions leave harts parked
     /// on cluster and system barriers for long stretches (the idle
     /// bubbles the event path fast-forwards) — counts and cycles must
-    /// still match exactly.
+    /// still match exactly. A 1-cluster point must also match a
+    /// stand-alone cluster running the same programs in each mode.
     #[test]
     fn unbounded_system_event_equals_dense(
         xblk in 1u32..3,
@@ -290,12 +294,19 @@ proptest! {
             .expect("valid combination");
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
         let kernel = gen.build_system(clusters, harts);
-        let dense = kernel
-            .run_scheduled(cfg, MAX_CYCLES, SchedMode::Dense)
-            .map_err(|e| TestCaseError::fail(format!("dense: {e}")))?;
-        let event = kernel
-            .run_scheduled(cfg, MAX_CYCLES, SchedMode::Event)
-            .map_err(|e| TestCaseError::fail(format!("event: {e}")))?;
+        let run = |mode: SchedMode| {
+            kernel
+                .run_with(cfg, MAX_CYCLES, |b| b.sched_mode(mode))
+                .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))
+        };
+        let (dense, event) = (run(SchedMode::Dense)?, run(SchedMode::Event)?);
         assert_system_identical(&dense.summary, &event.summary)?;
+        if clusters == 1 {
+            for (mode, system) in [(SchedMode::Dense, &dense), (SchedMode::Event, &event)] {
+                let reference = common::cluster_reference(&gen, &kernel, cfg, mode, MAX_CYCLES)
+                    .map_err(|e| TestCaseError::fail(format!("cluster {mode:?}: {e}")))?;
+                assert_cluster_identical(&reference, &system.summary.per_cluster[0])?;
+            }
+        }
     }
 }

@@ -12,12 +12,18 @@ use sc_core::CoreConfig;
 use sc_kernels::{
     Grid3, Stencil, StencilKernel, Variant, VecOpKernel, VecOpVariant, TCDM_CAP_BYTES,
 };
-use sc_mem::DramConfig;
+use sc_mem::{DramConfig, L2Config};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
 fn dram_cfg() -> DramConfig {
     DramConfig::new().with_latency(32)
+}
+
+/// A pass-through shared L2: the 1-cluster system pays exactly the
+/// background memory's timing, as a stand-alone DMA cluster does.
+fn l2_cfg() -> L2Config {
+    L2Config::passthrough(dram_cfg())
 }
 
 #[test]
@@ -31,7 +37,7 @@ fn tiled_stencil_multi_tile_verifies_and_overlaps() {
         (Variant::BaseMinus, 4),
     ] {
         let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).unwrap();
-        let tiled = gen.build_tiled(harts, 8 << 10).unwrap();
+        let tiled = gen.build_system_tiled(1, harts, 8 << 10).unwrap();
         assert!(
             tiled.num_tiles() > 1,
             "{}: expected multiple tiles under an 8 KiB cap",
@@ -39,9 +45,11 @@ fn tiled_stencil_multi_tile_verifies_and_overlaps() {
         );
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
         let run = tiled
-            .run(cfg, dram_cfg(), MAX_CYCLES)
+            .run(cfg, l2_cfg(), dram_cfg(), MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{} x{harts}: {e}", variant));
-        let dma = run.summary.dma.expect("tiled runs carry DMA metrics");
+        let dma = run.summary.per_cluster[0]
+            .dma
+            .expect("tiled runs carry DMA metrics");
         assert!(dma.stats.beats > 0);
         assert_eq!(
             dma.stats.transfers_completed, dma.stats.transfers_enqueued,
@@ -62,7 +70,7 @@ fn tiled_vecop_multi_tile_verifies() {
         let tiled = gen.build_tiled(2, 2048).unwrap();
         assert!(tiled.num_tiles() > 1, "{}: expected 2 tiles", tiled.name());
         tiled
-            .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
+            .run(CoreConfig::new(), l2_cfg(), dram_cfg(), MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{variant}: {e}"));
     }
 }
@@ -77,10 +85,10 @@ fn all_stock_kernels_complete_at_true_128k() {
     for stencil in [Stencil::box3d1r(), Stencil::j3d27pt()] {
         for variant in Variant::ALL {
             let gen = StencilKernel::new(stencil.clone(), grid, variant).unwrap();
-            let tiled = gen.build_tiled(2, TCDM_CAP_BYTES).unwrap();
+            let tiled = gen.build_system_tiled(1, 2, TCDM_CAP_BYTES).unwrap();
             let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
             tiled
-                .run(cfg, dram_cfg(), MAX_CYCLES)
+                .run(cfg, l2_cfg(), dram_cfg(), MAX_CYCLES)
                 .unwrap_or_else(|e| panic!("{}/{variant}: {e}", stencil.name()));
         }
     }
@@ -88,7 +96,7 @@ fn all_stock_kernels_complete_at_true_128k() {
         VecOpKernel::new(128, variant)
             .build_tiled(2, TCDM_CAP_BYTES)
             .unwrap()
-            .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
+            .run(CoreConfig::new(), l2_cfg(), dram_cfg(), MAX_CYCLES)
             .unwrap_or_else(|e| panic!("vecop/{variant}: {e}"));
     }
 }
@@ -115,9 +123,9 @@ fn tiled_output_matches_untiled_bit_for_bit() {
     // The tiled run's internal check verifies the Dram interior against
     // the golden model bit-exactly; assert the untiled image equals the
     // same golden values, making tiled ≡ untiled explicit and bit-exact.
-    let tiled = gen.build_tiled(2, 8 << 10).unwrap();
+    let tiled = gen.build_system_tiled(1, 2, 8 << 10).unwrap();
     let run = tiled
-        .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
+        .run(CoreConfig::new(), l2_cfg(), dram_cfg(), MAX_CYCLES)
         .unwrap();
     assert!(run.num_tiles > 1);
     let input = grid.random_field(0x5EED ^ u64::from(grid.nx));
@@ -148,9 +156,9 @@ fn chained_pipeline_does_not_wedge_under_backpressure() {
         Variant::ChainingPlus,
     )
     .unwrap();
-    let tiled = gen.build_tiled(8, TCDM_CAP_BYTES).unwrap();
+    let tiled = gen.build_system_tiled(1, 8, TCDM_CAP_BYTES).unwrap();
     let run = tiled
-        .run(CoreConfig::new(), dram_cfg(), 5_000_000)
+        .run(CoreConfig::new(), l2_cfg(), dram_cfg(), 5_000_000)
         .expect("must not deadlock");
     assert!(run.summary.cycles < 1_000_000);
 }
@@ -169,10 +177,10 @@ fn near_minimum_capacities_never_fault_and_respect_the_cap() {
         Variant::ChainingPlus,
     )
     .unwrap();
-    let min = gen.build_tiled(1, 1024).unwrap_err().needed;
+    let min = gen.build_system_tiled(1, 1, 1024).unwrap_err().needed;
     let mut accepted = 0;
     for cap in [min, min + 64, min + 255, min + 256, min + 1024] {
-        match gen.build_tiled(1, cap) {
+        match gen.build_system_tiled(1, 1, cap) {
             Ok(tiled) => {
                 assert!(
                     tiled.tcdm_config().size <= cap,
@@ -180,7 +188,7 @@ fn near_minimum_capacities_never_fault_and_respect_the_cap() {
                     tiled.tcdm_config().size
                 );
                 tiled
-                    .run(CoreConfig::new(), dram_cfg(), MAX_CYCLES)
+                    .run(CoreConfig::new(), l2_cfg(), dram_cfg(), MAX_CYCLES)
                     .unwrap_or_else(|e| panic!("cap {cap}: accepted plan faulted: {e}"));
                 accepted += 1;
             }
@@ -205,7 +213,7 @@ fn oversized_planes_sub_tile_along_y() {
     for (variant, harts) in [(Variant::ChainingPlus, 1), (Variant::Base, 2)] {
         let gen = StencilKernel::new(Stencil::box3d1r(), grid, variant).unwrap();
         let tiled = gen
-            .build_tiled(harts, 16 << 10)
+            .build_system_tiled(1, harts, 16 << 10)
             .expect("y-splitting makes the plan feasible");
         assert!(
             tiled.num_tiles() > grid.nz as usize,
@@ -216,7 +224,7 @@ fn oversized_planes_sub_tile_along_y() {
         assert!(tiled.tcdm_config().size <= 16 << 10);
         let cfg = CoreConfig::new().with_chaining(variant.uses_chaining());
         tiled
-            .run(cfg, dram_cfg(), MAX_CYCLES)
+            .run(cfg, l2_cfg(), dram_cfg(), MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{} x{harts}: {e}", variant));
     }
 }
@@ -229,7 +237,7 @@ fn impossible_capacity_is_rejected() {
         Variant::ChainingPlus,
     )
     .unwrap();
-    let err = gen.build_tiled(2, 1024).unwrap_err();
+    let err = gen.build_system_tiled(1, 2, 1024).unwrap_err();
     assert!(err.needed > err.capacity);
     assert!(err.to_string().contains("double-buffered"));
 

@@ -3,7 +3,7 @@
 //! per-core counters, DMA traffic, L2 stats and the verified store image
 //! must be identical with tracing on and off. The traced run's store
 //! image is checked bit-exactly against the same golden model inside
-//! `run_traced`, so a pass here means tracing changed *nothing* the
+//! `run_with`, so a pass here means tracing changed *nothing* the
 //! architecture can observe.
 //!
 //! The second pin is the reverse direction: the *scheduler* must never
@@ -67,7 +67,7 @@ proptest! {
             TraceConfig::new().with_sample_every([64u64, 256, 1024][sample_idx]),
         );
         let on = tk
-            .run_traced(cfg, l2, dram, MAX_CYCLES, session.tracer())
+            .run_with(cfg, l2, dram, MAX_CYCLES, |b| b.tracer(session.tracer()))
             .map_err(|e| TestCaseError::fail(format!("traced: {e}")))?;
 
         prop_assert_eq!(on.summary.cycles, off.summary.cycles);
@@ -131,7 +131,9 @@ proptest! {
         for mode in [SchedMode::Dense, SchedMode::Event] {
             let session = TraceSession::new(TraceConfig::new().with_sample_every(sample_every));
             let run = tk
-                .run_traced_scheduled(cfg, l2, dram, MAX_CYCLES, session.tracer(), mode)
+                .run_with(cfg, l2, dram, MAX_CYCLES, |b| {
+                    b.tracer(session.tracer()).sched_mode(mode)
+                })
                 .map_err(|e| TestCaseError::fail(format!("{mode:?}: {e}")))?;
             exports.push((run.summary.cycles, session.perfetto_json(), session.samples_csv()));
         }
@@ -152,9 +154,10 @@ proptest! {
 /// row and must emit it exactly once. The historical hazard is a window
 /// re-entered at a cadence point (a watchdog-capped partial skip, a
 /// stage boundary) re-emitting a row an earlier window or a dense cycle
-/// already produced; both skip loops now track the next *owed* point
-/// explicitly, and this pin holds the exported CSV byte-identical
-/// across the whole adversarial cadence range.
+/// already produced; both skip loops take the *owed* points of a window
+/// from one definition (`Tracer::owed_samples`), and this pin holds the
+/// exported CSV byte-identical across the whole adversarial cadence
+/// range.
 #[test]
 fn cadence_aligned_skip_windows_never_duplicate_sample_rows() {
     let gen = StencilKernel::new(
@@ -183,7 +186,9 @@ fn cadence_aligned_skip_windows_never_duplicate_sample_rows() {
                 for mode in [SchedMode::Dense, SchedMode::Event] {
                     let session = TraceSession::new(TraceConfig::new().with_sample_every(cadence));
                     let run = tk
-                        .run_traced_scheduled(cfg, l2, dram, MAX_CYCLES, session.tracer(), mode)
+                        .run_with(cfg, l2, dram, MAX_CYCLES, |b| {
+                            b.tracer(session.tracer()).sched_mode(mode)
+                        })
                         .unwrap_or_else(|e| {
                             panic!("h={harts} c={clusters} cad={cadence} {mode:?}: {e}")
                         });

@@ -89,7 +89,7 @@ use std::fmt;
 use sc_cluster::{
     lint_config, Cluster, ClusterBuilder, ClusterConfig, ClusterError, ClusterSummary,
 };
-use sc_core::{Component, PerfCounters, SchedMode, Scheduler, Wake};
+use sc_core::{PerfCounters, SchedMode, Scheduler, Wake};
 use sc_isa::Program;
 use sc_lint::lint_harts;
 use sc_mem::{CacheWake, Dram, L2Config, L2Outcome, L2Request, L2Stats, L2};
@@ -534,12 +534,6 @@ impl System {
         self.shared.as_ref().map(|(_, d)| d)
     }
 
-    /// Mutable shared background-memory access (stage inputs / read
-    /// back results).
-    pub fn dram_mut(&mut self) -> Option<&mut Dram> {
-        self.shared.as_mut().map(|(_, d)| d)
-    }
-
     /// The shared L2, when attached (stats inspection).
     #[must_use]
     pub fn l2(&self) -> Option<&L2> {
@@ -785,30 +779,14 @@ impl System {
     /// skips ([`Cluster::skip_quiet`]) and the system clock advances;
     /// finished clusters stay frozen and a quiescent L2 has nothing to
     /// advance. When a tracer with a sampling cadence is subscribed,
-    /// the window is split at each cadence point and the carry-forward
-    /// sample rows dense stepping would have emitted there are
-    /// synthesized in dense order (unfinished clusters in index order,
-    /// then the shared L2). Callers must only skip up to the window
-    /// [`System::next_wake`] allows.
+    /// the window is split at each cadence point it owes
+    /// ([`Tracer::owed_samples`]) and the carry-forward sample rows dense
+    /// stepping would have emitted there are synthesized in dense order
+    /// (unfinished clusters in index order, then the shared L2). Callers
+    /// must only skip up to the window [`System::next_wake`] allows.
     pub fn skip_idle(&mut self, cycles: u64) {
-        let cadence = self.tracer.sample_cadence();
-        if !self.tracer.is_on() || cadence == 0 {
-            self.skip_quiet(cycles);
-            return;
-        }
-        // A sample row belongs to this window iff its cycle lies in
-        // `[start, end)` — each of those cycles is simulated (by bulk
-        // advance) here and nowhere else. Tracking the next owed point
-        // explicitly keeps a window re-entered at a cadence point — a
-        // watchdog-capped partial skip, a stage boundary — from ever
-        // re-emitting a row a dense cycle or an earlier window already
-        // produced.
         let end = self.cycles + cycles;
-        let mut point = self.cycles.next_multiple_of(cadence);
-        while point < end {
-            // Dense stepping samples *during* cycle `point`, after the
-            // clusters' end-of-cycle bookkeeping: advance through that
-            // cycle, then snapshot with the sink's clock rewound to it.
+        for point in self.tracer.owed_samples(self.cycles, cycles) {
             self.skip_quiet(point - self.cycles + 1);
             self.tracer.set_cycle(point);
             for c in 0..self.clusters.len() {
@@ -817,7 +795,6 @@ impl System {
                 }
             }
             self.sample_l2_now();
-            point += cadence;
         }
         self.skip_quiet(end - self.cycles);
     }
@@ -848,22 +825,16 @@ impl System {
     }
 
     /// Emits the run-end partial-interval samples — every cluster's
-    /// rows, then the shared L2's — when the run's length is not a
-    /// multiple of the sampling cadence (see
-    /// [`Cluster::sample_final`]).
+    /// rows, then the shared L2's — when the run owes them
+    /// ([`Tracer::owes_final_sample`]).
     fn sample_final(&self) {
-        let cadence = self.tracer.sample_cadence();
-        if !self.tracer.is_on() || cadence == 0 {
-            return;
+        if self.tracer.owes_final_sample(self.cycles) {
+            self.tracer.set_cycle(self.cycles);
+            for cluster in &self.clusters {
+                cluster.sample_now();
+            }
+            self.sample_l2_now();
         }
-        if self.cycles > 0 && (self.cycles - 1).is_multiple_of(cadence) {
-            return;
-        }
-        self.tracer.set_cycle(self.cycles);
-        for cluster in &self.clusters {
-            cluster.sample_now();
-        }
-        self.sample_l2_now();
     }
 
     /// Runs until every cluster finishes its last stage, or the cycle
@@ -983,20 +954,6 @@ impl System {
             l2_prefetch_beats,
             attribution,
         }
-    }
-}
-
-impl Component for System {
-    fn now(&self) -> u64 {
-        self.cycles
-    }
-
-    fn next_wake(&self) -> Wake {
-        System::next_wake(self)
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        self.skip_idle(cycles);
     }
 }
 

@@ -30,6 +30,8 @@ mod watchdog;
 pub use sink::{MemorySink, TraceSession};
 pub use watchdog::{HangReport, ResourceState, Watchdog};
 
+use std::iter::StepBy;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// A timeline row: Perfetto's `(pid, tid)` pair. By convention pid 0 is
@@ -283,14 +285,45 @@ impl Tracer {
         self.emit(TraceEvent::NameThread { track, name });
     }
 
-    /// The configured sampling cadence in cycles (0 = sampling
-    /// disabled). Event-driven owners use this to synthesize the
-    /// carry-forward sample rows a skipped window would have produced
-    /// under dense stepping, at exactly the dense cadence points.
-    #[inline]
+    /// The sampling points a bulk-skipped window of `cycles` cycles
+    /// starting at cycle `now` owes, in order: every cadence multiple in
+    /// `[now, now + cycles)` (none when off or not sampling).
+    ///
+    /// A row belongs to the window iff its cycle lies in that half-open
+    /// range. Dense stepping samples *during* a cadence cycle, so a
+    /// window beginning exactly on a cadence multiple owns that cycle's
+    /// row (the cycle has not been stepped yet), while the row for
+    /// `now + cycles` belongs to whoever simulates that cycle. Deriving
+    /// the owed points from the window alone keeps a window re-entered
+    /// at a cadence point — a watchdog-capped partial skip, a stage
+    /// boundary — from ever re-emitting a row a dense cycle or an
+    /// earlier window already produced. Event-driven owners advance
+    /// through each point (its end-of-cycle bookkeeping included), then
+    /// snapshot with the sink's clock rewound to it.
+    ///
+    /// The iterator does not borrow the handle, so an owner can advance
+    /// its own state while walking it.
+    pub fn owed_samples(&self, now: u64, cycles: u64) -> StepBy<Range<u64>> {
+        let end = now + cycles;
+        let start = if self.is_on() && self.sample_every > 0 {
+            now.next_multiple_of(self.sample_every)
+        } else {
+            end
+        };
+        (start..end).step_by(usize::try_from(self.sample_every.max(1)).unwrap_or(usize::MAX))
+    }
+
+    /// Whether a run that ends after `cycles` simulated cycles owes a
+    /// final partial-interval sample: a run whose length is not a
+    /// multiple of the cadence would otherwise leave the tail of every
+    /// counter time-series invisible. `false` when off or not sampling,
+    /// and when the last simulated cycle (`cycles - 1`) was itself a
+    /// sampling point (the final state is already captured).
     #[must_use]
-    pub fn sample_cadence(&self) -> u64 {
-        self.sample_every
+    pub fn owes_final_sample(&self, cycles: u64) -> bool {
+        self.is_on()
+            && self.sample_every > 0
+            && !(cycles > 0 && (cycles - 1).is_multiple_of(self.sample_every))
     }
 
     /// Whether `cycle` is a sampling point (off handles never sample).
@@ -343,6 +376,30 @@ mod tests {
             track: Track::new(0, 0),
             name: "x",
         });
+    }
+
+    #[test]
+    fn skipped_windows_owe_the_cadence_points_they_cover() {
+        let session = TraceSession::new(TraceConfig::new().with_sample_every(4));
+        let t = session.tracer();
+        let owed = |now, cycles| t.owed_samples(now, cycles).collect::<Vec<_>>();
+        // Half-open: a window starting on a point owns it, its end
+        // point belongs to whoever simulates that cycle.
+        assert_eq!(owed(4, 8), [4, 8]);
+        assert_eq!(owed(5, 8), [8, 12]);
+        assert_eq!(owed(5, 3), [] as [u64; 0]);
+        assert_eq!(owed(0, 0), [] as [u64; 0]);
+        // The last simulated cycle (`cycles - 1`) was a point: no tail.
+        assert!(!t.owes_final_sample(9));
+        assert!(t.owes_final_sample(10));
+        assert!(t.owes_final_sample(0));
+        for quiet in [
+            Tracer::off(),
+            TraceSession::new(TraceConfig::new().with_sample_every(0)).tracer(),
+        ] {
+            assert_eq!(quiet.owed_samples(0, 100).count(), 0);
+            assert!(!quiet.owes_final_sample(10));
+        }
     }
 
     #[test]

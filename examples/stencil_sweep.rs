@@ -102,18 +102,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_refill_channels(2)
         .with_write_back(true);
     let session = TraceSession::new(TraceConfig::new());
-    let tracer = if trace_path.is_some() {
-        session.tracer()
-    } else {
-        Tracer::off()
-    };
-    let run = tiled.run_traced(
-        CoreConfig::new(),
-        l2,
-        DramConfig::new(),
-        100_000_000,
-        tracer,
-    )?;
+    let run = tiled.run_with(CoreConfig::new(), l2, DramConfig::new(), 100_000_000, |b| {
+        if trace_path.is_some() {
+            b.tracer(session.tracer())
+        } else {
+            b
+        }
+    })?;
     let s = run.summary;
     let l2_stats = s.l2.as_ref().expect("shared L2 attached");
     let c = &l2_stats.cache;

@@ -73,10 +73,9 @@ pub mod prelude {
     };
     pub use sc_isa::{csr, FpReg, Instruction, IntReg, Program, ProgramBuilder};
     pub use sc_kernels::{
-        ClusterKernel, ClusterKernelRun, Grid3, Kernel, KernelError, KernelRun, Stencil,
-        StencilKernel, SystemKernel, SystemKernelRun, TileError, TiledClusterKernel, TiledRun,
-        TiledSystemKernel, TiledSystemRun, Variant, VecOpKernel, VecOpVariant, WorkingSet,
-        TCDM_CAP_BYTES,
+        Grid3, Kernel, KernelError, KernelRun, Stencil, StencilKernel, SystemKernel,
+        SystemKernelRun, TileError, TiledSystemKernel, TiledSystemRun, Variant, VecOpKernel,
+        VecOpVariant, WorkingSet, TCDM_CAP_BYTES,
     };
     pub use sc_lint::{lint_harts, lint_program, Diagnostic, LintConfig, LintReport, Rule};
     pub use sc_mem::{

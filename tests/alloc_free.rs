@@ -114,11 +114,11 @@ fn fig3_kernels_step_without_allocating() {
 fn tiled_dma_cluster_allocates_at_most_once_per_doorbell() {
     let grid = Grid3::new(16, 8, 8);
     let gen = StencilKernel::new(Stencil::box3d1r(), grid, Variant::ChainingPlus).unwrap();
-    let tiled = gen.build_tiled(4, 16 << 10).unwrap();
+    let tiled = gen.build_system_tiled(1, 4, 16 << 10).unwrap();
     assert!(tiled.num_tiles() > 2, "the steady window spans tiles");
     for mode in [SchedMode::Dense, SchedMode::Event] {
         let core = CoreConfig::new().with_tcdm(tiled.tcdm_config());
-        let mut stages = tiled.stages().into_iter();
+        let mut stages = tiled.stages()[0].iter().cloned();
         let mut cluster = ClusterBuilder::new(
             ClusterConfig::new(4).with_core(core),
             stages.next().unwrap(),
