@@ -28,10 +28,9 @@
 //! counting down. The old whole-window scheduler could not skip a
 //! single cycle of this shape; the local skip bulk-advances the parked
 //! harts cycle by cycle while the busy hart steps densely, and the
-//! bench holds the measured win above [`MIN_PARTIAL_SPEEDUP`]. The same
-//! program set runs twice: on a stand-alone cluster, and as the one
-//! cluster of a `SystemBuilder` system behind a pass-through L2 — the
-//! local skip must hold inside a system too, where each cluster takes
+//! bench holds the measured win above [`MIN_PARTIAL_SPEEDUP`]. The
+//! program set runs on one cluster — a 1-cluster `SystemBuilder` system
+//! behind a pass-through L2, the one way a cluster runs — which takes
 //! the system's scheduling mode.
 //!
 //! Run with `cargo run --release -p sc-bench --bin host_speed`.
@@ -39,7 +38,7 @@
 use std::time::Instant;
 
 use sc_bench::{json, Json};
-use sc_cluster::{ClusterBuilder, ClusterConfig};
+use sc_cluster::ClusterConfig;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
 use sc_kernels::{Grid3, Stencil, StencilKernel, TiledSystemKernel, Variant, WaitStyle};
@@ -162,16 +161,7 @@ fn parked_program(enqueue: bool) -> Program {
     b.build().expect("parked program assembles")
 }
 
-/// Where the partially-idle program set runs.
-#[derive(Clone, Copy)]
-enum Host {
-    /// A stand-alone cluster with a private Dram.
-    Cluster,
-    /// The one cluster of a system behind a pass-through L2.
-    System,
-}
-
-fn run_partial(host: Host, mode: SchedMode) -> Run {
+fn run_partial(mode: SchedMode) -> Run {
     let programs: Vec<Program> = (0..PARTIAL_HARTS)
         .map(|h| {
             if h == 0 {
@@ -182,65 +172,50 @@ fn run_partial(host: Host, mode: SchedMode) -> Run {
         })
         .collect();
     let cfg = CoreConfig::new().with_tcdm(TcdmConfig::new().with_size(64 << 10).with_banks(8));
-    let cluster_cfg = ClusterConfig::new(PARTIAL_HARTS).with_core(cfg);
-    let dram_cfg = DramConfig::new().with_latency(PARTIAL_LATENCY);
-    let stage_bytes = |tcdm: &mut sc_mem::Tcdm| {
-        for i in 0..8 {
-            tcdm.write_f64(0x400 + i * 8, f64::from(i))
-                .expect("seed the staged bytes");
-        }
-    };
-    let (summary, wall_seconds) = match host {
-        Host::Cluster => {
-            let mut cluster = ClusterBuilder::new(cluster_cfg, programs)
-                .dma(Dram::new(dram_cfg))
-                .sched_mode(mode)
-                .build();
-            stage_bytes(cluster.tcdm_mut());
-            let start = Instant::now();
-            cluster.run(MAX_CYCLES).expect("partial workload completes");
-            (cluster.summary(), start.elapsed().as_secs_f64())
-        }
-        Host::System => {
-            let system_cfg = SystemConfig::new(1, PARTIAL_HARTS)
-                .with_cluster(cluster_cfg)
-                .with_l2(L2Config::passthrough(dram_cfg));
-            let mut system = SystemBuilder::new(system_cfg, vec![vec![programs]])
-                .dram(Dram::new(DramConfig::new()))
-                .sched_mode(mode)
-                .build();
-            stage_bytes(system.cluster_mut(0).tcdm_mut());
-            let start = Instant::now();
-            system.run(MAX_CYCLES).expect("partial workload completes");
-            (system.cluster(0).summary(), start.elapsed().as_secs_f64())
-        }
-    };
+    let system_cfg = SystemConfig::new(1, PARTIAL_HARTS)
+        .with_cluster(ClusterConfig::new(PARTIAL_HARTS).with_core(cfg))
+        .with_l2(L2Config::passthrough(
+            DramConfig::new().with_latency(PARTIAL_LATENCY),
+        ));
+    let mut system = SystemBuilder::new(system_cfg, vec![vec![programs]])
+        .dram(Dram::new(DramConfig::new()))
+        .sched_mode(mode)
+        .build();
+    for i in 0..8 {
+        system
+            .cluster_mut(0)
+            .tcdm_mut()
+            .write_f64(0x400 + i * 8, f64::from(i))
+            .expect("seed the staged bytes");
+    }
+    let start = Instant::now();
+    let summary = system.run(MAX_CYCLES).expect("partial workload completes");
     Run {
         cycles: summary.cycles,
         flops: summary.aggregate.flops,
-        wall_seconds,
+        wall_seconds: start.elapsed().as_secs_f64(),
     }
 }
 
-/// Times the partially-idle program set densely and event-driven on
-/// `host`, checks the two runs agree, prints both rows and returns
+/// Times the partially-idle program set densely and event-driven,
+/// checks the two runs agree, prints both rows and returns
 /// (dense, event, speedup).
-fn partial_point(host: Host, label: &str) -> (Run, Run, f64) {
+fn partial_point() -> (Run, Run, f64) {
     println!(
-        "\n=== partially idle on {label} — {PARTIAL_HARTS} harts, 1 computing, \
+        "\n=== partially idle — {PARTIAL_HARTS} harts, 1 computing, \
          {} parked on a {PARTIAL_LATENCY}-cycle DMA countdown ===",
         PARTIAL_HARTS - 1
     );
     println!("=== the global fast-forward never fires: every win is the local per-hart skip ===\n");
-    let _ = run_partial(host, SchedMode::Dense);
-    let mut dense = run_partial(host, SchedMode::Dense);
-    let mut event = run_partial(host, SchedMode::Event);
+    let _ = run_partial(SchedMode::Dense);
+    let mut dense = run_partial(SchedMode::Dense);
+    let mut event = run_partial(SchedMode::Event);
     for _ in 1..PARTIAL_RUNS {
         for (best, mode) in [
             (&mut dense, SchedMode::Dense),
             (&mut event, SchedMode::Event),
         ] {
-            let run = run_partial(host, mode);
+            let run = run_partial(mode);
             assert_eq!(run.cycles, best.cycles, "runs must retire identical cycles");
             if run.wall_seconds < best.wall_seconds {
                 *best = run;
@@ -269,10 +244,10 @@ fn partial_point(host: Host, label: &str) -> (Run, Run, f64) {
             r.cycles_per_second()
         );
     }
-    println!("\npartially-idle event-mode host speedup on {label}: {speedup:.2}x");
+    println!("\npartially-idle event-mode host speedup: {speedup:.2}x");
     assert!(
         speedup >= MIN_PARTIAL_SPEEDUP,
-        "local-skip speedup on {label} {speedup:.2}x below the {MIN_PARTIAL_SPEEDUP}x floor"
+        "local-skip speedup {speedup:.2}x below the {MIN_PARTIAL_SPEEDUP}x floor"
     );
     (dense, event, speedup)
 }
@@ -319,13 +294,7 @@ fn main() {
         "event scheduler speedup {speedup:.2}x below the {MIN_SPEEDUP}x floor"
     );
 
-    let (partial_dense, partial_event, partial_speedup) = partial_point(Host::Cluster, "a cluster");
-    let (system_dense, system_event, system_speedup) =
-        partial_point(Host::System, "a 1-cluster system");
-    assert_eq!(
-        system_dense.cycles, partial_dense.cycles,
-        "a 1-cluster pass-through system must retire the stand-alone cluster's cycles"
-    );
+    let (partial_dense, partial_event, partial_speedup) = partial_point();
 
     let report = Json::obj()
         .set("bench", "host_speed")
@@ -346,16 +315,6 @@ fn main() {
         .set("partial_dense_wall_seconds", partial_dense.wall_seconds)
         .set("partial_event_wall_seconds", partial_event.wall_seconds)
         .set("partial_event_speedup", partial_speedup)
-        .set("partial_system_cycles", system_dense.cycles)
-        .set(
-            "partial_system_dense_wall_seconds",
-            system_dense.wall_seconds,
-        )
-        .set(
-            "partial_system_event_wall_seconds",
-            system_event.wall_seconds,
-        )
-        .set("partial_system_event_speedup", system_speedup)
         .set("min_partial_speedup_floor", MIN_PARTIAL_SPEEDUP);
     match json::write_report("BENCH_host_speed.json", &report) {
         Ok(path) => println!("json report: {}", path.display()),

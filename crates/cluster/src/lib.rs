@@ -34,28 +34,29 @@
 //! Harts that have already halted (`ecall`) no longer participate: a
 //! barrier among the remaining active harts still releases. A program in
 //! which some hart never reaches a barrier the others wait on is a
-//! software bug and surfaces as [`ClusterError::MaxCyclesExceeded`].
+//! software bug; the run loop reports it as an exhausted cycle budget
+//! (`sc_system::SystemError::MaxCyclesExceeded`).
 //!
-//! ## Event-driven scheduling
+//! ## Who drives the clock
 //!
-//! [`Cluster::run`] under [`sc_core::SchedMode::Event`] (selected with
-//! [`ClusterBuilder::sched_mode`]) fast-forwards windows in which every
-//! component reports a future wake ([`Cluster::next_wake`]): cores
-//! parked on barrier/DMA-wait CSRs or halted, the DMA engine idle or
-//! mid-countdown with a known deadline. Skipped windows perform exactly
-//! the bookkeeping the dense cycles would have (cycle counters, engine
-//! countdown, DMA busy time) — and, with a tracer subscribed, the same
-//! carry-forward sample rows at the same cadence points — so the event
-//! path is cycle-count-, stats- and trace-identical to dense stepping,
-//! pinned by the checked-in baseline sweeps and `sc-kernels`'
-//! differential proptest.
-//! Construction is most convenient through the fluent [`ClusterBuilder`],
-//! which applies tracer/DMA/embedding wiring in the right order at build
-//! time.
+//! A cluster has no run loop of its own. It is always stepped by an
+//! owner — `sc_system::System`, where a stand-alone cluster is the
+//! 1-cluster system — through the phase API: [`Cluster::begin_cycle`],
+//! the owner's shared-memory arbitration, [`Cluster::end_cycle`], and
+//! the owner's inter-cluster barrier rendezvous
+//! ([`Cluster::system_barrier_census`] /
+//! [`Cluster::release_system_barrier`]). The owner's event-driven
+//! scheduler reads [`Cluster::next_wake`] and bulk-advances windows it
+//! may skip with [`Cluster::skip_quiet`]; under
+//! [`sc_core::SchedMode::Event`] ([`Cluster::set_sched_mode`]) the
+//! cluster itself sits parked harts out of a dense cycle. The budget,
+//! the hang watchdog and trace sample synthesis live in the owner's
+//! loop.
 //!
 //! ```
-//! use sc_cluster::{Cluster, ClusterConfig};
+//! use sc_cluster::{ClusterBuilder, ClusterConfig};
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
+//! use sc_mem::L2Outcome;
 //!
 //! // Every hart stores its ID to TCDM word 0x100 + hart*4, rendezvous,
 //! // halts.
@@ -68,12 +69,18 @@
 //!     b.ecall();
 //!     b.build().unwrap()
 //! };
-//! let mut cluster = Cluster::new(ClusterConfig::new(4), (0..4).map(program).collect());
-//! let summary = cluster.run(10_000)?;
+//! let mut cluster = ClusterBuilder::new(ClusterConfig::new(4), (0..4).map(program).collect())
+//!     .build();
+//! // The dense core of an owner's loop. Without a DMA engine nothing
+//! // reaches the shared memory, so every second half-cycle is granted.
+//! while !cluster.is_done() {
+//!     assert!(cluster.begin_cycle()?.is_none());
+//!     cluster.end_cycle(L2Outcome::Granted, None)?;
+//! }
 //! for hart in 0..4u32 {
 //!     assert_eq!(cluster.tcdm().read_u32(0x100 + hart * 4)?, hart);
 //! }
-//! assert_eq!(summary.barriers, 1);
+//! assert_eq!(cluster.summary().barriers, 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -91,7 +98,7 @@ use sc_isa::Program;
 use sc_lint::{lint_harts, LintConfig, LintReport};
 use sc_mem::{AccessKind, Dram, DramConfig, L2Outcome, PortId, PrefetchHint, Request, Tcdm};
 use sc_perf::{Attribution, Leaf};
-use sc_trace::{HangReport, ResourceState, Tracer, Track, Watchdog};
+use sc_trace::{ResourceState, Tracer, Track};
 
 /// Thread id the DMA engine's trace track uses within a cluster's
 /// process (hart tracks occupy the low ids).
@@ -139,7 +146,10 @@ impl ClusterConfig {
     }
 }
 
-/// Any failure during cluster simulation.
+/// A fault raised while stepping a cluster cycle, located at the hart
+/// (or engine) that raised it. Run-level failures — an exhausted cycle
+/// budget, a hang, a lint refusal — belong to the owner's run loop
+/// (`sc_system::SystemError`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
     /// A core's simulation failed.
@@ -148,12 +158,6 @@ pub enum ClusterError {
         hart: u32,
         /// The underlying error.
         source: SimError,
-    },
-    /// The cycle budget ran out before every core halted — including the
-    /// case of a barrier some hart never reaches.
-    MaxCyclesExceeded {
-        /// The budget that was exceeded.
-        max_cycles: u64,
     },
     /// The DMA engine rejected a descriptor or faulted on a beat.
     Dma {
@@ -164,36 +168,17 @@ pub enum ClusterError {
         /// The underlying error.
         source: DmaError,
     },
-    /// The watchdog ([`Cluster::set_watchdog`]) saw no architectural
-    /// progress for its limit while harts were unfinished: a hang,
-    /// converted into a diagnostic naming each blocked resource instead
-    /// of spinning until the cycle budget runs out.
-    Hang(HangReport),
-    /// Static verification refused the programs before simulation:
-    /// [`ClusterBuilder::lint_strict`] was requested and the `sc-lint`
-    /// pass found error-severity protocol violations.
-    Lint(LintReport),
 }
 
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Core { hart, source } => write!(f, "hart {hart}: {source}"),
-            ClusterError::MaxCyclesExceeded { max_cycles } => {
-                write!(
-                    f,
-                    "cluster exceeded {max_cycles} cycles before all harts halted"
-                )
-            }
             ClusterError::Dma {
                 hart: Some(hart),
                 source,
             } => write!(f, "hart {hart}: {source}"),
             ClusterError::Dma { hart: None, source } => write!(f, "dma engine: {source}"),
-            ClusterError::Hang(report) => write!(f, "{report}"),
-            ClusterError::Lint(report) => {
-                write!(f, "static verification refused the programs:\n{report}")
-            }
         }
     }
 }
@@ -202,17 +187,14 @@ impl std::error::Error for ClusterError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ClusterError::Core { source, .. } => Some(source),
-            ClusterError::MaxCyclesExceeded { .. } => None,
             ClusterError::Dma { source, .. } => Some(source),
-            ClusterError::Hang(_) => None,
-            ClusterError::Lint(_) => None,
         }
     }
 }
 
 /// Aggregated result of a completed cluster run. Comparable as a whole,
-/// so identity tests (a 1-cluster system against a stand-alone cluster,
-/// event against dense stepping) pin every field at once.
+/// so identity tests (a 1-cluster system against the bare phase
+/// protocol, event against dense stepping) pin every field at once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSummary {
     /// Cluster cycles until the *last* core halted.
@@ -236,11 +218,10 @@ pub struct ClusterSummary {
     /// Barrier episodes completed by the whole cluster.
     pub barriers: u64,
     /// Inter-cluster (system) barrier episodes this cluster's harts
-    /// completed. Resolved locally on a stand-alone cluster, by the
-    /// system when embedded.
+    /// completed, as released by the owner's rendezvous.
     pub system_barriers: u64,
     /// DMA activity and compute–transfer overlap, when an engine is
-    /// attached ([`ClusterBuilder::dma`]).
+    /// attached ([`ClusterBuilder::shared_dma`]).
     pub dma: Option<DmaSummary>,
     /// Top-down cycle attribution aggregated over every hart: each
     /// core's own partition plus [`sc_perf::Leaf::Park`] padding for the
@@ -315,19 +296,14 @@ impl ClusterSummary {
     }
 }
 
-/// The attached DMA subsystem: the engine, the background memory it
-/// moves against (owned here on the single-cluster path, supplied
-/// externally when the cluster is embedded in a multi-cluster system),
-/// and the overlap bookkeeping.
+/// The attached DMA subsystem: the engine and the overlap bookkeeping.
+/// The background memory it moves against is owned by the system and
+/// passed into every [`Cluster::end_cycle`].
 #[derive(Debug)]
 struct DmaAttachment {
     engine: DmaEngine,
-    /// The private background memory — `None` when the cluster moves
-    /// against an externally owned store (shared L2/Dram in a system);
-    /// [`Cluster::end_cycle`] then receives the store per cycle.
-    dram: Option<Dram>,
-    /// The per-transfer/per-beat timing the engine pays (the private
-    /// Dram's config, or the system L2's engine-side timing).
+    /// The per-transfer/per-beat timing the engine pays (the system
+    /// L2's engine-side timing).
     timing: DramConfig,
     busy_cycles: u64,
     overlap_cycles: u64,
@@ -382,7 +358,7 @@ impl Census {
 }
 
 /// The cluster: N lock-stepped cores over one shared banked TCDM,
-/// optionally fed by a DMA engine from an unbounded background memory.
+/// optionally fed by a DMA engine from the system's background memory.
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -398,15 +374,11 @@ pub struct Cluster {
     core_done_at: Vec<Option<u64>>,
     barriers: u64,
     system_barriers: u64,
-    /// When embedded in a multi-cluster system, the system owns the
-    /// inter-cluster barrier rendezvous; a stand-alone cluster is the
-    /// whole system and resolves it locally.
-    system_managed: bool,
     dma: Option<DmaAttachment>,
     /// Stride hints the engine published this cycle (doorbells rung at
     /// this [`Cluster::begin_cycle`]); the system collects them between
-    /// the two half-cycles and feeds the shared L2's prefetcher. On the
-    /// single-cluster path they are simply dropped each cycle.
+    /// the two half-cycles and feeds the shared L2's prefetcher, or
+    /// lets them lapse when the L2 does not prefetch.
     prefetch_hints: Vec<PrefetchHint>,
     // Scratch reused across cycles to keep the hot loop allocation-free.
     requests: Vec<Request>,
@@ -416,13 +388,6 @@ pub struct Cluster {
     tracer: Tracer,
     /// Perfetto process id this cluster's tracks live under.
     pid: u32,
-    watchdog: Option<Watchdog>,
-    /// Per-hart attribution snapshots at the watchdog's last observed
-    /// progress change — the baseline against which a hang report takes
-    /// its stalled-window attribution deltas.
-    hang_attr_base: Vec<Attribution>,
-    hang_attr_sig: u64,
-    hang_attr_primed: bool,
     sched: Scheduler,
     /// Static-verification findings for the currently loaded programs
     /// (computed at construction and on every [`Cluster::load_programs`];
@@ -436,8 +401,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics unless `programs.len() == cfg.num_cores`.
-    #[must_use]
-    pub fn new(cfg: ClusterConfig, programs: Vec<Program>) -> Self {
+    fn new(cfg: ClusterConfig, programs: Vec<Program>) -> Self {
         assert_eq!(
             programs.len(),
             cfg.num_cores as usize,
@@ -461,7 +425,6 @@ impl Cluster {
             core_done_at: vec![None; n],
             barriers: 0,
             system_barriers: 0,
-            system_managed: false,
             dma: None,
             prefetch_hints: Vec::new(),
             requests: Vec::new(),
@@ -470,10 +433,6 @@ impl Cluster {
             ranges: Vec::new(),
             tracer: Tracer::off(),
             pid: 0,
-            watchdog: None,
-            hang_attr_base: vec![Attribution::new(); n],
-            hang_attr_sig: 0,
-            hang_attr_primed: false,
             sched: Scheduler::default(),
             lint,
         }
@@ -481,23 +440,25 @@ impl Cluster {
 
     /// Static-verification findings (`sc-lint`) for the currently loaded
     /// programs. Computed once per program load — simulation never
-    /// consults it, but hang diagnoses cross-reference it and
-    /// [`ClusterBuilder::lint_strict`] refuses clusters whose report has
-    /// errors.
+    /// consults it, but hang diagnoses cross-reference it and a strict
+    /// system build (`sc_system::SystemBuilder::lint_strict`) refuses
+    /// clusters whose report has errors.
     #[must_use]
     pub fn lint_report(&self) -> &LintReport {
         &self.lint
     }
 
-    /// Selects how [`Cluster::run`] advances the clock: dense lock-step
-    /// (the default) or event-driven fast-forwarding of provably idle
-    /// windows. The two modes are cycle-count- and stats-identical;
-    /// event mode is purely a host-speed optimisation.
+    /// Selects how this cluster steps a dense cycle: every unhalted hart
+    /// (the default), or — under [`SchedMode::Event`] — only the harts
+    /// that are not parked, bulk-advancing the parked ones
+    /// ([`Scheduler::local_quiet`]). The owner sets the same mode on its
+    /// own scheduler; the two modes are cycle-count- and
+    /// stats-identical, event mode is purely a host-speed optimisation.
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
         self.sched = Scheduler::new(mode);
     }
 
-    /// The scheduling mode [`Cluster::run`] uses.
+    /// The scheduling mode this cluster steps its harts in.
     #[must_use]
     pub fn sched_mode(&self) -> SchedMode {
         self.sched.mode()
@@ -525,46 +486,10 @@ impl Cluster {
         self.pid = pid;
     }
 
-    /// Arms the hang watchdog: if no architectural state retires
-    /// anywhere in the cluster for `limit` consecutive cycles while
-    /// harts are unfinished, the run aborts with
-    /// [`ClusterError::Hang`] naming each blocked resource. Disarmed by
-    /// default. Long legitimate waits (a DMA burst no core polls, an
-    /// uneven barrier) retire *something* every few cycles, so limits in
-    /// the thousands are safe for real programs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn set_watchdog(&mut self, limit: u64) {
-        self.watchdog = Some(Watchdog::new(limit));
-    }
-
-    /// The farthest absolute cycle an owner may fast-forward this
-    /// cluster to without overshooting its local watchdog's firing
-    /// point ([`sc_trace::Watchdog::skip_cap`]); `None` when no
-    /// watchdog is armed. The cluster's progress signature is frozen
-    /// across any legitimately skipped window, so one
-    /// [`Cluster::poll_watchdog`] at the window's end reproduces the
-    /// dense loop's per-cycle observation exactly.
-    #[must_use]
-    pub fn watchdog_skip_cap(&self) -> Option<u64> {
-        self.watchdog.as_ref().map(|w| w.skip_cap(self.cycles))
-    }
-
-    /// The watchdog observation an owner owes after advancing this
-    /// cluster across a window with no dense cycles
-    /// ([`Cluster::skip_quiet`] / [`Cluster::skip_idle`]). Returns the
-    /// hang report if the cluster froze — at the same cycle, with the
-    /// same stuck-for span, as dense stepping would have reported.
-    pub fn poll_watchdog(&mut self) -> Option<HangReport> {
-        self.check_watchdog()
-    }
-
     /// The sum the watchdog samples: strictly grows whenever any hart
     /// retires an instruction, a stream moves an element, a barrier
-    /// completes, or the DMA engine moves a beat. A system owner sums
-    /// these across clusters for its own global watchdog.
+    /// completes, or the DMA engine moves a beat. The system sums these
+    /// across clusters for its watchdog.
     #[must_use]
     pub fn progress_signature(&self) -> u64 {
         let cores: u64 = self.cores.iter().map(Core::progress_signature).sum();
@@ -605,32 +530,10 @@ impl Cluster {
         }
     }
 
-    /// Watchdog check, run once per completed cycle. Returns the hang
-    /// report if the cluster froze.
-    fn check_watchdog(&mut self) -> Option<HangReport> {
-        if self.watchdog.is_none() || self.is_done() {
-            return None;
-        }
-        let sig = self.progress_signature();
-        if !self.hang_attr_primed || sig != self.hang_attr_sig {
-            self.hang_attr_primed = true;
-            self.hang_attr_sig = sig;
-            for (h, core) in self.cores.iter().enumerate() {
-                self.hang_attr_base[h] = core.counters().attr;
-            }
-        }
-        let cycle = self.cycles;
-        let stuck_for = self.watchdog.as_mut()?.observe(cycle, sig)?;
-        let mut resources = Vec::new();
-        self.diagnose("cluster", &mut resources);
-        self.diagnose_attr_since("cluster", &self.hang_attr_base, &mut resources);
-        Some(HangReport::new(cycle, stuck_for, resources))
-    }
-
     /// Appends each wedged hart's stalled-window attribution — where its
     /// cycles went since the snapshot in `base` — next to the structural
-    /// diagnoses of a hang report. A system owner embedding this cluster
-    /// passes its own per-cluster baselines.
+    /// diagnoses of a hang report. The system passes the baselines it
+    /// took at its watchdog's last progress change.
     pub fn diagnose_attr_since(
         &self,
         path: &str,
@@ -658,10 +561,9 @@ impl Cluster {
         self.cores.iter().map(|c| c.counters().attr).collect()
     }
 
-    /// Attaches a DMA engine; `dram` is its own background memory, or
-    /// `None` when the multi-cluster system owns the shared L2/Dram and
-    /// passes it into every [`Cluster::end_cycle`] call. The engine
-    /// pays `timing` per transfer/beat and arbitrates on the first
+    /// Attaches a DMA engine moving against the system-owned store the
+    /// owner passes into every [`Cluster::end_cycle`]. The engine pays
+    /// `timing` per transfer/beat and arbitrates on the first
     /// crossbar port *after* every core's namespace
     /// (`num_cores × ports_per_core`), forming its own arbitration group
     /// — inter-group fairness treats the mover like one more core, so
@@ -672,7 +574,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the engine's port would overflow the 8-bit port space.
-    fn attach_dma_inner(&mut self, dram: Option<Dram>, timing: DramConfig) {
+    fn attach_dma(&mut self, timing: DramConfig) {
         let port = self.cfg.num_cores * u32::from(self.cfg.ports_per_core());
         assert!(port < 256, "DMA port overflows the 8-bit port namespace");
         let mut engine = DmaEngine::new(PortId(port as u8));
@@ -681,7 +583,6 @@ impl Cluster {
         }
         self.dma = Some(DmaAttachment {
             engine,
-            dram,
             timing,
             busy_cycles: 0,
             overlap_cycles: 0,
@@ -689,14 +590,6 @@ impl Cluster {
             busy_this_cycle: false,
             beat_ready: false,
         });
-    }
-
-    /// The background memory, when a DMA engine is attached *with* a
-    /// private store (stage inputs / read back results). `None` for
-    /// engines moving against an external (system-owned) memory.
-    #[must_use]
-    pub fn dram(&self) -> Option<&Dram> {
-        self.dma.as_ref().and_then(|d| d.dram.as_ref())
     }
 
     /// The DMA engine, when attached (queue inspection in tests).
@@ -791,29 +684,11 @@ impl Cluster {
 
     /// Marks this cluster as cluster `cluster_id` of a
     /// `num_clusters`-cluster system: every core's cluster-id /
-    /// system-size CSRs read the position, and the inter-cluster barrier
-    /// is resolved by the *system* (which sees every cluster's harts)
-    /// instead of locally.
-    fn embed_inner(&mut self, cluster_id: u32, num_clusters: u32) {
+    /// system-size CSRs read the position.
+    fn embed(&mut self, cluster_id: u32, num_clusters: u32) {
         for core in &mut self.cores {
             core.set_cluster_pos(cluster_id, num_clusters);
         }
-        self.system_managed = true;
-    }
-
-    /// Executes one lock-step cluster cycle.
-    ///
-    /// Exactly [`Cluster::begin_cycle`] followed by
-    /// [`Cluster::end_cycle`] with the DMA beat unconditionally
-    /// granted on the memory side — the single-cluster path has no
-    /// shared L2 to lose arbitration at.
-    ///
-    /// # Errors
-    ///
-    /// The first core error, tagged with its hart ID.
-    pub fn step(&mut self) -> Result<(), ClusterError> {
-        self.begin_cycle()?;
-        self.end_cycle(L2Outcome::Granted, None)
     }
 
     /// First half of a cluster cycle: core phases 1–2 (writeback, issue,
@@ -941,12 +816,11 @@ impl Cluster {
     ///
     /// `dma_mem` is the shared-memory-side arbitration outcome for the
     /// beat [`Cluster::begin_cycle`] returned
-    /// ([`sc_mem::L2Outcome::Granted`] when there was none, or on the
-    /// single-cluster path); a denial's kind decides whether the engine
-    /// books a bank-conflict or a miss/refill wait. `ext_mem` supplies
-    /// the externally owned functional store for engines built with
-    /// [`ClusterBuilder::shared_dma`]; pass `None` when the engine owns
-    /// its Dram.
+    /// ([`sc_mem::L2Outcome::Granted`] when there was none); a denial's
+    /// kind decides whether the engine books a bank-conflict or a
+    /// miss/refill wait. `ext_mem` supplies the system-owned functional
+    /// store the engine of a [`ClusterBuilder::shared_dma`] cluster
+    /// moves against; `None` for a cluster without an engine.
     ///
     /// # Errors
     ///
@@ -954,11 +828,11 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if a shared-memory engine moves a beat without `ext_mem`.
+    /// Panics if the engine moves a beat without `ext_mem`.
     pub fn end_cycle(
         &mut self,
         dma_mem: L2Outcome,
-        mut ext_mem: Option<&mut Dram>,
+        ext_mem: Option<&mut Dram>,
     ) -> Result<(), ClusterError> {
         let tag = |hart: usize| {
             move |source| ClusterError::Core {
@@ -1008,12 +882,7 @@ impl Cluster {
             if dma_req {
                 let dma = self.dma.as_mut().expect("dma_req implies attachment");
                 let timing = dma.timing;
-                let mem = match dma.dram.as_mut() {
-                    Some(own) => own,
-                    None => ext_mem
-                        .take()
-                        .expect("shared-memory DMA engine needs the external store"),
-                };
+                let mem = ext_mem.expect("a DMA engine moves against the system-owned store");
                 dma.engine
                     .apply_grant(
                         self.grants[self.grants.len() - 1],
@@ -1084,23 +953,11 @@ impl Cluster {
             census.barrier = 0;
         }
         self.census = Some(census);
-        // A stand-alone cluster is the whole system: resolve the
-        // inter-cluster barrier among its own harts. Embedded clusters
-        // leave this to the system, which sees every cluster.
-        if !self.system_managed
-            && census.system_barrier > 0
-            && census.system_barrier == still_active
-        {
-            self.release_system_barrier();
-        }
 
         for &h in &self.active {
             if self.cores[h].is_halted() && self.core_done_at[h].is_none() {
                 self.core_done_at[h] = Some(self.cycles);
             }
-        }
-        if let Some(report) = self.check_watchdog() {
-            return Err(ClusterError::Hang(report));
         }
         Ok(())
     }
@@ -1142,8 +999,9 @@ impl Cluster {
     /// beat ready to arbitrate) needs dense stepping. A subscribed
     /// tracer does *not* pin the cluster to dense stepping: a skippable
     /// window emits no timeline transitions by construction (state
-    /// labels coalesce), and [`Cluster::skip_idle`] synthesizes the
-    /// sampled counter rows dense stepping would have produced.
+    /// labels coalesce), and the owner synthesizes the sampled counter
+    /// rows dense stepping would have produced ([`Cluster::sample_now`]
+    /// at each owed cadence point).
     #[must_use]
     pub fn next_wake(&self) -> Wake {
         // A core's wake is `Idle` when it is halted, or parked and not
@@ -1173,26 +1031,11 @@ impl Cluster {
     /// many dense steps would have performed while every component was
     /// in a skippable state — cycle counters advance (non-halted cores
     /// and the cluster clock), the DMA engine's countdown and busy time
-    /// progress — and, when a tracer with a sampling cadence is
-    /// subscribed, the carry-forward counter rows the dense loop would
-    /// have emitted at each cadence point inside the window
-    /// ([`Tracer::owed_samples`]). Callers must only skip up to the
-    /// window [`Cluster::next_wake`] allows.
-    pub fn skip_idle(&mut self, cycles: u64) {
-        let end = self.cycles + cycles;
-        for point in self.tracer.owed_samples(self.cycles, cycles) {
-            self.skip_quiet(point - self.cycles + 1);
-            self.tracer.set_cycle(point);
-            self.sample_now();
-        }
-        self.skip_quiet(end - self.cycles);
-    }
-
-    /// The pure bookkeeping of a skipped window, without sample
-    /// synthesis. A system owner interleaves these with its own
-    /// sampling so the synthesized rows keep dense emission order
+    /// progress. No sample rows: the owner interleaves these skips with
+    /// its own sampling so synthesized rows keep dense emission order
     /// (clusters in index order, then the shared L2, per cadence
-    /// point); everyone else goes through [`Cluster::skip_idle`].
+    /// point). Callers must only skip up to the window
+    /// [`Cluster::next_wake`] allows.
     pub fn skip_quiet(&mut self, cycles: u64) {
         if cycles == 0 {
             return;
@@ -1237,55 +1080,6 @@ impl Cluster {
             self.tracer
                 .sample(Track::new(self.pid, DMA_TRACK_TID), dma.engine.stats());
         }
-    }
-
-    /// Emits the run-end partial-interval sample when the run owes one
-    /// ([`Tracer::owes_final_sample`]).
-    pub fn sample_final(&self) {
-        if self.tracer.owes_final_sample(self.cycles) {
-            self.tracer.set_cycle(self.cycles);
-            self.sample_now();
-        }
-    }
-
-    /// Runs until every core halts or the cycle budget is exhausted.
-    ///
-    /// Under [`SchedMode::Event`] the loop fast-forwards windows where
-    /// [`Cluster::next_wake`] is in the future, capping each skip at the
-    /// cycle budget and (when armed) the watchdog's next deadline so
-    /// [`ClusterError::MaxCyclesExceeded`] and [`ClusterError::Hang`]
-    /// fire at the identical cycle the dense loop reports.
-    ///
-    /// # Errors
-    ///
-    /// Core errors (tagged with the hart) or budget exhaustion — the
-    /// latter also covers barrier deadlocks (a hart waiting on a
-    /// rendezvous the others never reach).
-    pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, ClusterError> {
-        while !self.is_done() {
-            if self.sched.mode() == SchedMode::Event {
-                let caps = self
-                    .watchdog
-                    .as_ref()
-                    .map(|w| w.skip_cap(self.cycles))
-                    .into_iter()
-                    .chain(std::iter::once(max_cycles));
-                let skip = self.sched.plan(self.cycles, self.next_wake(), caps);
-                if skip > 0 {
-                    self.skip_idle(skip);
-                    if let Some(report) = self.check_watchdog() {
-                        return Err(ClusterError::Hang(report));
-                    }
-                    continue;
-                }
-            }
-            if self.cycles >= max_cycles {
-                return Err(ClusterError::MaxCyclesExceeded { max_cycles });
-            }
-            self.step()?;
-        }
-        self.sample_final();
-        Ok(self.summary())
     }
 
     /// The cluster summary as of now (meaningful once [`Self::is_done`]).
@@ -1362,33 +1156,23 @@ impl Cluster {
     }
 }
 
-/// How a [`ClusterBuilder`] sources the DMA engine's background memory.
-#[derive(Debug)]
-enum DmaSource {
-    /// The cluster owns its Dram (stand-alone path).
-    Private(Dram),
-    /// The store is owned externally (a system's shared L2/Dram); the
-    /// engine pays this timing per transfer/beat.
-    Shared(DramConfig),
-}
-
-/// Fluent construction of a [`Cluster`]: options accumulate in any
-/// order and
-/// [`ClusterBuilder::build`] applies them in the one order that wires
-/// everything correctly (embedding before tracer naming, tracer before
-/// engine attachment so the engine inherits the subscription).
+/// Fluent construction of a [`Cluster`] for an owner that steps it
+/// (`sc_system::SystemBuilder` builds every cluster it runs this way):
+/// options accumulate in any order and [`ClusterBuilder::build`] applies
+/// them in the one order that wires everything correctly (embedding
+/// before the engine attachment).
 ///
 /// ```
 /// use sc_cluster::ClusterBuilder;
 /// use sc_cluster::ClusterConfig;
 /// use sc_isa::ProgramBuilder;
-/// use sc_mem::{Dram, DramConfig};
+/// use sc_mem::DramConfig;
 ///
 /// let mut b = ProgramBuilder::new();
 /// b.ecall();
 /// let cluster = ClusterBuilder::new(ClusterConfig::new(1), vec![b.build()?])
-///     .dma(Dram::new(DramConfig::new()))
-///     .watchdog(10_000)
+///     .embedded(0, 1)
+///     .shared_dma(DramConfig::new())
 ///     .build();
 /// assert!(cluster.dma_engine().is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -1397,12 +1181,8 @@ enum DmaSource {
 pub struct ClusterBuilder {
     cfg: ClusterConfig,
     programs: Vec<Program>,
-    dma: Option<DmaSource>,
+    dma: Option<DramConfig>,
     embedded: Option<(u32, u32)>,
-    watchdog: Option<u64>,
-    sched: SchedMode,
-    tracer: Option<(Tracer, u32)>,
-    lint_strict: bool,
 }
 
 impl ClusterBuilder {
@@ -1414,38 +1194,15 @@ impl ClusterBuilder {
             programs,
             dma: None,
             embedded: None,
-            watchdog: None,
-            sched: SchedMode::Dense,
-            tracer: None,
-            lint_strict: false,
         }
     }
 
-    /// Refuses to build a cluster whose programs the static verifier
-    /// (`sc-lint`) diagnoses with error-severity findings — FIFO
-    /// wedges, divergent barrier sequences, DMA races, over-cap
-    /// footprints. Warning-tier findings (e.g. bursts that rely on the
-    /// issue-stage drain) still build; they remain visible through
-    /// [`Cluster::lint_report`] and in hang diagnoses.
-    #[must_use]
-    pub fn lint_strict(mut self) -> Self {
-        self.lint_strict = true;
-        self
-    }
-
-    /// Attaches a DMA engine with its own private background memory
-    /// (the stand-alone cluster path).
-    #[must_use]
-    pub fn dma(mut self, dram: Dram) -> Self {
-        self.dma = Some(DmaSource::Private(dram));
-        self
-    }
-
-    /// Attaches a DMA engine moving against an externally owned store
-    /// (a system's shared L2/Dram), paying `timing` per transfer/beat.
+    /// Attaches a DMA engine moving against the system-owned store
+    /// (the shared L2/Dram passed into [`Cluster::end_cycle`]), paying
+    /// `timing` per transfer/beat.
     #[must_use]
     pub fn shared_dma(mut self, timing: DramConfig) -> Self {
-        self.dma = Some(DmaSource::Shared(timing));
+        self.dma = Some(timing);
         self
     }
 
@@ -1458,29 +1215,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Arms the hang watchdog with `limit` progress-free cycles.
-    #[must_use]
-    pub fn watchdog(mut self, limit: u64) -> Self {
-        self.watchdog = Some(limit);
-        self
-    }
-
-    /// Selects dense or event-driven clock advancement for
-    /// [`Cluster::run`].
-    #[must_use]
-    pub fn sched_mode(mut self, mode: SchedMode) -> Self {
-        self.sched = mode;
-        self
-    }
-
-    /// Subscribes the cluster (cores, TCDM, DMA engine) to a trace
-    /// sink under Perfetto process `pid`.
-    #[must_use]
-    pub fn tracer(mut self, tracer: Tracer, pid: u32) -> Self {
-        self.tracer = Some((tracer, pid));
-        self
-    }
-
     /// Builds the cluster, applying the accumulated options in wiring
     /// order.
     ///
@@ -1488,69 +1222,31 @@ impl ClusterBuilder {
     ///
     /// Panics on invalid configuration: a program count that does not
     /// match the core count, a DMA port overflowing the 8-bit port
-    /// space, a zero watchdog limit, `cluster_id >= num_clusters`, or —
-    /// with [`ClusterBuilder::lint_strict`] — programs the static
-    /// verifier diagnoses with errors.
+    /// space, or `cluster_id >= num_clusters`.
     #[must_use]
     pub fn build(self) -> Cluster {
-        match self.try_build() {
-            Ok(cluster) => cluster,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Builds the cluster like [`ClusterBuilder::build`], but returns
-    /// [`ClusterError::Lint`] instead of panicking when
-    /// [`ClusterBuilder::lint_strict`] was requested and the verifier
-    /// found errors.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Lint`] carrying the full report when strict
-    /// verification refuses the programs.
-    ///
-    /// # Panics
-    ///
-    /// Same structural panics as [`ClusterBuilder::build`] (program
-    /// count mismatch, port overflow, zero watchdog limit, bad
-    /// cluster id).
-    pub fn try_build(self) -> Result<Cluster, ClusterError> {
         let mut cluster = Cluster::new(self.cfg, self.programs);
-        if self.lint_strict && cluster.lint_report().has_errors() {
-            return Err(ClusterError::Lint(cluster.lint_report().clone()));
-        }
         if let Some((cluster_id, num_clusters)) = self.embedded {
             assert!(
                 cluster_id < num_clusters,
                 "cluster id {cluster_id} outside the {num_clusters}-cluster system"
             );
-            cluster.embed_inner(cluster_id, num_clusters);
+            cluster.embed(cluster_id, num_clusters);
         }
-        if let Some((tracer, pid)) = self.tracer {
-            cluster.set_tracer(tracer, pid);
+        if let Some(timing) = self.dma {
+            cluster.attach_dma(timing);
         }
-        match self.dma {
-            Some(DmaSource::Private(dram)) => {
-                let timing = dram.config();
-                cluster.attach_dma_inner(Some(dram), timing);
-            }
-            Some(DmaSource::Shared(timing)) => cluster.attach_dma_inner(None, timing),
-            None => {}
-        }
-        if let Some(limit) = self.watchdog {
-            cluster.set_watchdog(limit);
-        }
-        cluster.set_sched_mode(self.sched);
-        Ok(cluster)
+        cluster
     }
 }
 
 /// Derives the lint model from the hardware configuration: the chained
 /// FIFO holds `addmul_latency + 1` entries (every pipeline stage plus
 /// the held writeback) and the TCDM footprint cap is the configured
-/// TCDM size. This is the exact configuration [`Cluster::new`] verifies
-/// against; exported so system-level code can lint queued tile stages
-/// with the same model before they are loaded.
+/// TCDM size. This is the exact configuration every built cluster
+/// verifies its programs against ([`Cluster::lint_report`]); exported
+/// so system-level code can lint queued tile stages with the same model
+/// before they are loaded.
 #[must_use]
 pub fn lint_config(cfg: &ClusterConfig) -> LintConfig {
     LintConfig::new()

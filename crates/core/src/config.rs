@@ -1,5 +1,7 @@
 //! Core configuration.
 
+use std::fmt;
+
 use sc_fpu::FpuTiming;
 use sc_mem::TcdmConfig;
 
@@ -109,6 +111,29 @@ impl CoreConfig {
         self
     }
 
+    /// Checks the sizes that construction divides by or builds
+    /// fixed-capacity queues from: a zero there would panic deep inside
+    /// the model instead of failing where the configuration enters.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError`] naming the first zero among `ssr_fifo_capacity`,
+    /// `offload_queue_depth`, `fpu.addmul_latency`, `tcdm.banks` and
+    /// `tcdm.bank_width`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let sizes = [
+            ("ssr_fifo_capacity", self.ssr_fifo_capacity as u64),
+            ("offload_queue_depth", self.offload_queue_depth as u64),
+            ("fpu.addmul_latency", u64::from(self.fpu.addmul_latency)),
+            ("tcdm.banks", u64::from(self.tcdm.banks)),
+            ("tcdm.bank_width", u64::from(self.tcdm.bank_width)),
+        ];
+        match sizes.into_iter().find(|&(_, value)| value == 0) {
+            Some((field, _)) => Err(ConfigError { field }),
+            None => Ok(()),
+        }
+    }
+
     /// Sets strictness (see [`CoreConfig::strict`]).
     #[must_use]
     pub fn with_strict(mut self, strict: bool) -> Self {
@@ -116,6 +141,23 @@ impl CoreConfig {
         self
     }
 }
+
+/// A [`CoreConfig`] field holding a value the model cannot build, found
+/// by [`CoreConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field, as its path from [`CoreConfig`] (e.g.
+    /// `tcdm.banks`).
+    pub field: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "`{}` must be at least 1", self.field)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for CoreConfig {
     fn default() -> Self {

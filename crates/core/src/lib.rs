@@ -52,7 +52,7 @@ mod sim;
 mod trace;
 
 pub use chain::{ChainError, ChainUnit};
-pub use config::CoreConfig;
+pub use config::{ConfigError, CoreConfig};
 pub use counters::{PerfCounters, StallCause};
 pub use error::SimError;
 pub use fp_subsys::{FpSubsystem, IntWriteback, IssueOutcome};

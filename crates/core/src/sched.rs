@@ -1,5 +1,6 @@
-//! The next-event-time scheduling contract shared by every steppable
-//! simulation owner (`sc_cluster::Cluster`, `sc_system::System`).
+//! The next-event-time scheduling contract between the run loops
+//! (`sc_system::System::run` for every multi-core topology) and the
+//! components they step (`sc_cluster::Cluster`, the shared L2).
 //!
 //! Dense lock-step simulation pays host time for every simulated cycle,
 //! including the long windows where nothing architectural can happen:
@@ -15,11 +16,11 @@
 //!   budget, watchdog), and either bulk-skips the window or steps one
 //!   dense cycle.
 //!
-//! Each owner implements the contract as inherent methods —
+//! Each component implements the contract as inherent methods —
 //! `next_wake` (conservative: reporting [`Wake::EveryCycle`] is always
-//! correct, a too-late wake never is) and `skip_idle` (bulk-applies a
-//! window no wider than the reported wake) — and drives them from its
-//! own `run` loop through a [`Scheduler`].
+//! correct, a too-late wake never is) and a closed-form skip (bulk-applies
+//! a window no wider than the reported wake) — and the run loop drives
+//! them through a [`Scheduler`].
 //!
 //! A window is only skippable when every per-cycle phase of every
 //! component is provably a no-op apart from closed-form counter updates

@@ -1,14 +1,17 @@
 //! Cluster correctness pins:
 //!
-//! * a 1-core cluster must match the legacy single-core `Simulator`
-//!   **cycle-for-cycle** (and counter-for-counter) on the paper kernels,
+//! * a 1-core cluster — the 1×1 system — must match the legacy
+//!   single-core `Simulator` **cycle-for-cycle** (and
+//!   counter-for-counter) on the paper kernels,
 //! * partitioned N-core kernels must verify bit-exactly against the
 //!   golden model and account for every flop,
 //! * N-core runs must be deterministic across repeated runs.
 
-use sc_cluster::{Cluster, ClusterConfig};
+use sc_cluster::ClusterConfig;
 use sc_core::{CoreConfig, Simulator};
 use sc_kernels::{Grid3, Kernel, Stencil, StencilKernel, Variant, VecOpKernel, VecOpVariant};
+use sc_mem::{Dram, DramConfig, L2Config};
+use sc_system::{SystemBuilder, SystemConfig};
 
 /// Runs `kernel`'s single program on the legacy simulator and on a
 /// 1-core cluster, asserting identical cycle counts, counters and
@@ -23,14 +26,18 @@ fn assert_single_core_equivalence(kernel: &Kernel, cfg: CoreConfig) {
         .unwrap_or_else(|e| panic!("{}: {e}", kernel.name()));
     kernel.verify(sim.tcdm()).expect("legacy result verifies");
 
-    let ccfg = ClusterConfig::new(1).with_core(cfg);
-    let mut cluster = Cluster::new(ccfg, vec![kernel.program().clone()]);
-    kernel.apply_setup(cluster.tcdm_mut()).expect("setup fits");
-    let clustered = cluster
-        .run(max_cycles)
-        .unwrap_or_else(|e| panic!("{} (cluster): {e}", kernel.name()));
+    let scfg = SystemConfig::new(1, 1).with_cluster(ClusterConfig::new(1).with_core(cfg));
+    let mut system = SystemBuilder::new(scfg, vec![vec![vec![kernel.program().clone()]]]).build();
     kernel
-        .verify(cluster.tcdm())
+        .apply_setup(system.cluster_mut(0).tcdm_mut())
+        .expect("setup fits");
+    let clustered = system
+        .run(max_cycles)
+        .unwrap_or_else(|e| panic!("{} (cluster): {e}", kernel.name()))
+        .per_cluster
+        .remove(0);
+    kernel
+        .verify(system.cluster(0).tcdm())
         .expect("cluster result verifies");
 
     assert_eq!(
@@ -104,13 +111,26 @@ fn one_core_cluster_with_idle_dma_matches_simulator() {
         kernel.apply_setup(sim.tcdm_mut()).expect("setup fits");
         let legacy = sim.run(max_cycles).expect("legacy run");
 
-        let ccfg = sc_cluster::ClusterConfig::new(1).with_core(cfg);
-        let mut cluster = sc_cluster::ClusterBuilder::new(ccfg, vec![kernel.program().clone()])
-            .dma(sc_mem::Dram::new(sc_mem::DramConfig::new()))
-            .build();
-        kernel.apply_setup(cluster.tcdm_mut()).expect("setup fits");
-        let with_dma = cluster.run(max_cycles).expect("dma-idle run");
-        kernel.verify(cluster.tcdm()).expect("result verifies");
+        let dram_cfg = DramConfig::new();
+        let mut system = SystemBuilder::new(
+            SystemConfig::new(1, 1)
+                .with_cluster(ClusterConfig::new(1).with_core(cfg))
+                .with_l2(L2Config::passthrough(dram_cfg)),
+            vec![vec![vec![kernel.program().clone()]]],
+        )
+        .dram(Dram::new(dram_cfg))
+        .build();
+        kernel
+            .apply_setup(system.cluster_mut(0).tcdm_mut())
+            .expect("setup fits");
+        let with_dma = system
+            .run(max_cycles)
+            .expect("dma-idle run")
+            .per_cluster
+            .remove(0);
+        kernel
+            .verify(system.cluster(0).tcdm())
+            .expect("result verifies");
 
         assert_eq!(
             legacy.cycles,

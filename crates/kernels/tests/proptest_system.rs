@@ -2,7 +2,7 @@
 //!
 //! * any `System{clusters: 1}` configuration — unbounded or tiled
 //!   behind a pass-through L2 — is **cycle- and result-identical** to
-//!   the equivalent stand-alone `Cluster`,
+//!   the bare lock-step phase protocol of its one `Cluster`,
 //! * multi-cluster runs are **bit-identical** in results to
 //!   single-cluster runs of the same problem (determinism under L2
 //!   arbitration), and deterministic across repeated runs.
@@ -19,8 +19,8 @@ const MAX_CYCLES: u64 = 50_000_000;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A 1-cluster unbounded system kernel must match a stand-alone
-    /// cluster running the same programs, in both scheduling modes:
+    /// A 1-cluster unbounded system kernel must match the bare phase
+    /// protocol running the same programs, in both scheduling modes:
     /// cycles and the whole cluster summary callers read from
     /// `per_cluster[0]` (per-core counters and regions, `core_done_at`,
     /// barriers, per-bank conflicts, attribution).
@@ -48,10 +48,11 @@ proptest! {
         }
     }
 
-    /// A 1-cluster *tiled* system behind a pass-through L2 must match a
-    /// stand-alone DMA cluster running the same stage sequence over a
-    /// private background memory, in both scheduling modes: the whole
-    /// cluster summary, DMA and overlap metrics included.
+    /// A 1-cluster *tiled* system behind a pass-through L2 must match the
+    /// bare phase protocol of a DMA cluster running the same stage
+    /// sequence against a test-owned background memory, in both
+    /// scheduling modes: the whole cluster summary, DMA and overlap
+    /// metrics included.
     #[test]
     fn one_cluster_tiled_system_matches_tiled_cluster(
         ny in 2u32..5,

@@ -11,11 +11,12 @@
 mod common;
 
 use proptest::prelude::*;
-use sc_cluster::{ClusterBuilder, ClusterConfig, ClusterError};
+use sc_cluster::ClusterConfig;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, ProgramBuilder};
 use sc_kernels::{Grid3, Stencil, StencilKernel, Variant, WaitStyle};
 use sc_mem::{Dram, DramConfig, L2Config};
+use sc_system::{SystemBuilder, SystemConfig, SystemError};
 use sc_trace::{TraceConfig, TraceSession};
 
 const MAX_CYCLES: u64 = 50_000_000;
@@ -65,10 +66,9 @@ proptest! {
 
     /// Tiled cluster pipelines — DMA countdown bubbles, completion
     /// waits (both styles) and cluster barriers — run cycle- and
-    /// stats-identically under the event scheduler, both on a
-    /// stand-alone DMA cluster and as the 1-cluster system behind a
-    /// pass-through L2 that tiled cluster runs go through; the two
-    /// match each other in either mode.
+    /// stats-identically under the event scheduler as the 1-cluster
+    /// system behind a pass-through L2, and match the bare phase
+    /// protocol of the same DMA cluster in either mode.
     #[test]
     fn tiled_cluster_event_equals_dense(
         ny in 2u32..5,
@@ -241,28 +241,30 @@ proptest! {
         let limit = u64::try_from(i64::from(latency) + delta).expect("positive limit");
         let run = |mode: SchedMode| {
             let programs = (0..harts).map(|h| program(h == 0)).collect();
-            let mut cluster = ClusterBuilder::new(
-                ClusterConfig::new(harts),
-                programs,
-            )
-            .dma(Dram::new(DramConfig::new().with_latency(latency)))
-            .watchdog(limit)
-            .sched_mode(mode)
-            .build();
+            let dram_cfg = DramConfig::new().with_latency(latency);
+            let scfg = SystemConfig::new(1, harts)
+                .with_cluster(ClusterConfig::new(harts))
+                .with_l2(L2Config::passthrough(dram_cfg));
+            let mut system = SystemBuilder::new(scfg, vec![vec![programs]])
+                .dram(Dram::new(dram_cfg))
+                .watchdog(limit)
+                .sched_mode(mode)
+                .build();
             for i in 0..8 {
-                cluster
+                system
+                    .cluster_mut(0)
                     .tcdm_mut()
                     .write_f64(0x400 + i * 8, f64::from(i))
                     .expect("seed the staged tile");
             }
-            let outcome = cluster.run(1_000_000).map(|_| ());
-            (cluster.summary(), outcome)
+            let outcome = system.run(1_000_000).map(|_| ());
+            (system.cluster(0).summary(), outcome)
         };
         let (dense_summary, dense_outcome) = run(SchedMode::Dense);
         let (event_summary, event_outcome) = run(SchedMode::Event);
         match (dense_outcome, event_outcome) {
             (Ok(()), Ok(())) => {}
-            (Err(ClusterError::Hang(d)), Err(ClusterError::Hang(e))) => {
+            (Err(SystemError::Hang(d)), Err(SystemError::Hang(e))) => {
                 prop_assert_eq!(d.cycle, e.cycle, "watchdog firing cycle diverges");
                 prop_assert_eq!(d.stuck_for, e.stuck_for, "stuck-for span diverges");
             }
@@ -278,8 +280,8 @@ proptest! {
     /// Unbounded system kernels: uneven z-partitions leave harts parked
     /// on cluster and system barriers for long stretches (the idle
     /// bubbles the event path fast-forwards) — counts and cycles must
-    /// still match exactly. A 1-cluster point must also match a
-    /// stand-alone cluster running the same programs in each mode.
+    /// still match exactly. A 1-cluster point must also match the bare
+    /// phase protocol running the same programs in each mode.
     #[test]
     fn unbounded_system_event_equals_dense(
         xblk in 1u32..3,

@@ -21,7 +21,7 @@ fn dram_cfg() -> DramConfig {
 }
 
 /// A pass-through shared L2: the 1-cluster system pays exactly the
-/// background memory's timing, as a stand-alone DMA cluster does.
+/// background memory's timing.
 fn l2_cfg() -> L2Config {
     L2Config::passthrough(dram_cfg())
 }

@@ -118,10 +118,8 @@ pub enum Severity {
     /// that may be satisfied by an earlier program of the same run).
     Warning,
     /// A protocol violation that wedges or corrupts on conforming
-    /// hardware. [`ClusterBuilder::lint_strict`]-style gates refuse
-    /// programs with errors.
-    ///
-    /// [`ClusterBuilder::lint_strict`]: https://docs.rs/sc-cluster
+    /// hardware. Strict builds (`sc_system::SystemBuilder::lint_strict`)
+    /// refuse programs with errors.
     Error,
 }
 

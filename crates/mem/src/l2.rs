@@ -352,8 +352,8 @@ impl L2Config {
         self
     }
 
-    /// The timing the DMA engines pay per transfer/beat at this L2 —
-    /// the drop-in replacement for a private Dram's `DramConfig`.
+    /// The timing the DMA engines pay per transfer/beat at this L2 (a
+    /// pass-through L2 hands back the `DramConfig` it was built from).
     #[must_use]
     pub fn engine_timing(&self) -> DramConfig {
         DramConfig::new()
@@ -701,6 +701,7 @@ impl L2 {
     /// [`CacheWake::Quiescent`] — with no requests arriving, stepping it
     /// changes nothing (the bank arbiter is stateless on an empty
     /// request vector).
+    #[inline]
     #[must_use]
     pub fn next_wake(&self) -> CacheWake {
         if self.cfg.refill {
@@ -714,17 +715,27 @@ impl L2 {
     /// the exact effect of `cycles` [`L2::begin_cycle`]/[`L2::end_cycle`]
     /// pairs with no requests, valid only within the window
     /// [`L2::next_wake`] granted.
+    #[inline]
     pub fn skip(&mut self, cycles: u64) {
         if self.cfg.refill {
             self.cache.skip(cycles);
         }
     }
 
+    /// Whether [`L2::prefetch_hint`] can change anything: the cache core
+    /// and [`L2Config::prefetch`] are both on. A system need not collect
+    /// hints for an L2 that ignores them.
+    #[inline]
+    #[must_use]
+    pub fn takes_prefetch_hints(&self) -> bool {
+        self.cfg.refill && self.cfg.prefetch
+    }
+
     /// Hands the cache core an upcoming strided read footprint (a DMA
     /// descriptor's Dram-side access pattern, delivered at `DMA_START`).
-    /// A no-op unless the cache core and [`L2Config::prefetch`] are both
-    /// on — feeding hints to a prefetch-disabled L2 changes nothing,
-    /// which is what keeps the disabled path cycle-identical.
+    /// A no-op unless [`L2::takes_prefetch_hints`] — feeding hints to a
+    /// prefetch-disabled L2 changes nothing, which is what keeps the
+    /// disabled path cycle-identical.
     pub fn prefetch_hint(&mut self, hint: PrefetchHint) {
         if self.cfg.refill {
             self.cache.prefetch_hint(hint);
@@ -734,6 +745,7 @@ impl L2 {
     /// Cycle start: idle refill/write-back channels pick up queued jobs
     /// — demand refills and write-backs first, prefetch requests only
     /// with channels and MSHRs to spare.
+    #[inline]
     pub fn begin_cycle(&mut self) {
         if self.cfg.refill {
             self.cache.begin_cycle();
@@ -884,6 +896,7 @@ impl L2 {
     /// Cycle end: the refill/write-back channels advance; a finished
     /// line becomes present (its stalled beats may be granted from next
     /// cycle).
+    #[inline]
     pub fn end_cycle(&mut self) {
         if self.cfg.refill {
             self.cache.end_cycle();

@@ -32,10 +32,15 @@
 //!    (the software tile loop), so per-cluster tile pipelines run
 //!    independently without global synchronisation.
 //!
-//! A 1-cluster system behind a pass-through L2
-//! ([`sc_mem::L2Config::passthrough`]) performs exactly the same
-//! sequence as a stand-alone [`sc_cluster::Cluster`], cycle for cycle —
-//! pinned by this crate's tests and `sc-kernels`' system proptests.
+//! [`System::run`] is the only run loop for clusters: a stand-alone
+//! cluster is the 1-cluster system — without `.dram()` when it has no
+//! DMA engine, behind a pass-through L2
+//! ([`sc_mem::L2Config::passthrough`]) when it has one. Either performs
+//! exactly the bare lock-step phase sequence of its one
+//! [`sc_cluster::Cluster`], cycle for cycle — pinned by this crate's
+//! tests and `sc-kernels`' system proptests. The loop owns the cycle
+//! budget, the hang watchdog and trace sample synthesis for every
+//! topology.
 //!
 //! ## Event-driven scheduling
 //!
@@ -44,13 +49,14 @@
 //! cluster reports a future wake and the shared L2 is quiescent
 //! ([`sc_mem::L2::is_quiescent`]) — bit-identical to dense stepping,
 //! pinned by the checked-in baseline sweeps and `sc-kernels`'
-//! differential proptest. The fluent [`SystemBuilder`] assembles a
-//! system (shared memory, watchdog, tracer, scheduling mode) in one
-//! expression.
+//! differential proptest. Within a dense cycle, a cluster whose own wake
+//! lies in the future is advanced one cycle in closed form instead of
+//! stepped. The fluent [`SystemBuilder`] assembles a system
+//! (shared memory, watchdog, tracer, scheduling mode) in one expression.
 //!
 //! ```
 //! use sc_isa::{csr, IntReg, ProgramBuilder};
-//! use sc_system::{System, SystemConfig};
+//! use sc_system::{SystemBuilder, SystemConfig};
 //!
 //! // Every hart stores cluster*16 + hart to its own cluster's TCDM,
 //! // rendezvouses on the inter-cluster barrier, halts.
@@ -67,7 +73,7 @@
 //! let stages = (0..2)
 //!     .map(|c| vec![(0..2).map(|h| program(c, h)).collect()])
 //!     .collect();
-//! let mut system = System::new(cfg, stages);
+//! let mut system = SystemBuilder::new(cfg, stages).build();
 //! let summary = system.run(10_000)?;
 //! assert_eq!(summary.system_barriers, 1);
 //! for c in 0..2u32 {
@@ -89,9 +95,9 @@ use std::fmt;
 use sc_cluster::{
     lint_config, Cluster, ClusterBuilder, ClusterConfig, ClusterError, ClusterSummary,
 };
-use sc_core::{PerfCounters, SchedMode, Scheduler, Wake};
+use sc_core::{ConfigError, PerfCounters, SchedMode, Scheduler, Wake};
 use sc_isa::Program;
-use sc_lint::lint_harts;
+use sc_lint::{lint_harts, LintReport};
 use sc_mem::{CacheWake, Dram, L2Config, L2Outcome, L2Request, L2Stats, L2};
 use sc_perf::{Attribution, Leaf};
 use sc_trace::{HangReport, ResourceState, Tracer, Track, Watchdog};
@@ -145,27 +151,43 @@ impl SystemConfig {
     }
 }
 
-/// Any failure during system simulation.
+/// Any failure of a system build or run — the one run-level error of
+/// every topology, a stand-alone cluster included.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SystemError {
-    /// A cluster's simulation failed.
+    /// A per-cycle fault inside a cluster: a core error or a DMA
+    /// descriptor/beat fault, located at its hart.
     Cluster {
         /// The faulting cluster.
         cluster: u32,
-        /// The underlying error.
+        /// The underlying fault.
         source: ClusterError,
     },
     /// The cycle budget ran out before every cluster finished — also
-    /// covers inter-cluster barrier deadlocks.
+    /// covers barrier deadlocks (a hart waiting on a cluster or system
+    /// rendezvous some other hart never reaches).
     MaxCyclesExceeded {
         /// The budget that was exceeded.
         max_cycles: u64,
     },
-    /// The watchdog ([`System::set_watchdog`]) saw no architectural
+    /// The watchdog ([`SystemBuilder::watchdog`]) saw no architectural
     /// progress anywhere in the system for its limit while clusters
     /// were unfinished: a hang, converted into a diagnostic naming each
     /// blocked resource instead of spinning until the budget runs out.
     Hang(HangReport),
+    /// Static verification refused a cluster's programs before
+    /// simulation: [`SystemBuilder::lint_strict`] was requested and the
+    /// `sc-lint` pass found error-severity protocol violations in the
+    /// loaded or a queued stage.
+    Lint {
+        /// The refused cluster.
+        cluster: u32,
+        /// The full verifier report of that cluster's stages.
+        report: LintReport,
+    },
+    /// The core configuration holds a value the model cannot build
+    /// ([`sc_core::CoreConfig::validate`]).
+    Config(ConfigError),
 }
 
 impl fmt::Display for SystemError {
@@ -181,6 +203,11 @@ impl fmt::Display for SystemError {
                 )
             }
             SystemError::Hang(report) => write!(f, "{report}"),
+            SystemError::Lint { cluster, report } => write!(
+                f,
+                "cluster {cluster}: static verification refused the programs:\n{report}"
+            ),
+            SystemError::Config(err) => write!(f, "invalid configuration: {err}"),
         }
     }
 }
@@ -189,8 +216,10 @@ impl std::error::Error for SystemError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SystemError::Cluster { source, .. } => Some(source),
-            SystemError::MaxCyclesExceeded { .. } => None,
-            SystemError::Hang(_) => None,
+            SystemError::Config(err) => Some(err),
+            SystemError::MaxCyclesExceeded { .. }
+            | SystemError::Hang(_)
+            | SystemError::Lint { .. } => None,
         }
     }
 }
@@ -309,18 +338,21 @@ pub struct System {
     // Scratch reused across cycles.
     l2_reqs: Vec<L2Request>,
     l2_outcomes: Vec<L2Outcome>,
+    /// Index into `l2_reqs` of each densely stepped cluster's beat this
+    /// cycle (written in the first half-cycle, read in the second).
     l2_req_of: Vec<Option<usize>>,
-    /// The cycle's plan ([`System::plan_cycle`]): every unfinished
-    /// cluster in index order, each with its local-skip classification —
-    /// `true` for a cluster whose wake lies strictly in the future, which
-    /// is bulk-advanced one cycle ([`Cluster::skip_quiet`]) while the
-    /// dense subset steps.
+    /// The plan: every unfinished cluster in index order
+    /// ([`System::replan`]), each with its local-skip classification
+    /// ([`System::classify`]) — `true` for a cluster whose wake lies
+    /// strictly in the future, which is bulk-advanced one cycle
+    /// ([`Cluster::skip_quiet`]) while the dense subset steps. A run
+    /// lists the clusters once and drops each as it finishes.
     stepped: Vec<(usize, bool)>,
     tracer: Tracer,
     watchdog: Option<Watchdog>,
-    /// Per-cluster, per-hart attribution snapshots at the system
-    /// watchdog's last observed progress change — the baselines a hang
-    /// report takes its stalled-window attribution deltas against.
+    /// Per-cluster, per-hart attribution snapshots at the watchdog's
+    /// last observed progress change — the baselines a hang report
+    /// takes its stalled-window attribution deltas against.
     hang_attr_base: Vec<Vec<Attribution>>,
     hang_attr_sig: u64,
     hang_attr_primed: bool,
@@ -328,66 +360,6 @@ pub struct System {
 }
 
 impl System {
-    /// Creates a system running `stages[c]` on cluster `c`: a non-empty
-    /// sequence of program sets (one program per core each), executed
-    /// back to back — the model of each cluster's software tile loop.
-    /// Single-stage clusters just run their one program set.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `stages.len() == cfg.num_clusters` and every
-    /// cluster has at least one stage of `cfg.cluster.num_cores`
-    /// programs.
-    #[must_use]
-    pub fn new(cfg: SystemConfig, stages: Vec<Vec<Vec<Program>>>) -> Self {
-        Self::assemble(cfg, stages, false)
-    }
-
-    /// Shared constructor: `with_engines` attaches every cluster's DMA
-    /// engine at build time (the [`SystemBuilder`] path, which also
-    /// installs the shared L2/Dram pair afterwards).
-    fn assemble(cfg: SystemConfig, stages: Vec<Vec<Vec<Program>>>, with_engines: bool) -> Self {
-        assert_eq!(
-            stages.len(),
-            cfg.num_clusters as usize,
-            "one stage list per cluster"
-        );
-        let timing = cfg.l2.engine_timing();
-        let mut clusters = Vec::with_capacity(stages.len());
-        let mut queues = Vec::with_capacity(stages.len());
-        for (c, cluster_stages) in stages.into_iter().enumerate() {
-            let mut q: VecDeque<Vec<Program>> = cluster_stages.into();
-            let first = q.pop_front().expect("every cluster has at least one stage");
-            let mut builder =
-                ClusterBuilder::new(cfg.cluster, first).embedded(c as u32, cfg.num_clusters);
-            if with_engines {
-                builder = builder.shared_dma(timing);
-            }
-            clusters.push(builder.build());
-            queues.push(q);
-        }
-        let n = clusters.len();
-        System {
-            cfg,
-            clusters,
-            stages: queues,
-            shared: None,
-            cycles: 0,
-            cluster_done_at: vec![None; n],
-            system_barriers: 0,
-            l2_reqs: Vec::new(),
-            l2_outcomes: Vec::new(),
-            l2_req_of: vec![None; n],
-            stepped: Vec::with_capacity(n),
-            tracer: Tracer::off(),
-            watchdog: None,
-            hang_attr_base: vec![Vec::new(); n],
-            hang_attr_sig: 0,
-            hang_attr_primed: false,
-            sched: Scheduler::default(),
-        }
-    }
-
     /// Selects how [`System::run`] advances the clock: dense lock-step
     /// (the default) or event-driven fast-forwarding of provably idle
     /// windows. Every embedded cluster takes the same mode, so event
@@ -487,16 +459,6 @@ impl System {
         Some(HangReport::new(cycle, stuck_for, resources))
     }
 
-    /// Installs the shared L2 + functional store pair (the clusters'
-    /// engines must already be attached).
-    fn install_shared(&mut self, dram: Dram) {
-        let mut l2 = L2::new(self.cfg.l2, self.cfg.num_clusters);
-        if self.tracer.is_on() {
-            l2.set_tracer(self.tracer.clone(), L2_TRACK);
-        }
-        self.shared = Some((l2, dram));
-    }
-
     /// The system configuration.
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
@@ -563,37 +525,41 @@ impl System {
     ///
     /// The first cluster error, tagged with its cluster index.
     pub fn step(&mut self) -> Result<(), SystemError> {
-        self.plan_cycle();
+        self.replan();
+        self.classify();
         self.step_planned()
     }
 
-    /// Plans the coming cycle in one pass over the clusters: lists every
-    /// unfinished cluster in `stepped` and, in event mode, classifies it
-    /// by its wake and returns the system's merged wake
+    /// Lists every unfinished cluster in `stepped` (none: the run is
+    /// done), all unclassified.
+    fn replan(&mut self) {
+        self.stepped.clear();
+        for c in 0..self.clusters.len() {
+            if !self.cluster_finished(c) {
+                self.stepped.push((c, false));
+            }
+        }
+    }
+
+    /// Classifies the planned clusters for the coming cycle: in event
+    /// mode, by each cluster's wake, returning the system's merged wake
     /// ([`System::next_wake`]). Dense mode computes no wake, steps every
-    /// unfinished cluster and returns [`Wake::EveryCycle`].
-    fn plan_cycle(&mut self) -> Wake {
-        let mut stepped = std::mem::take(&mut self.stepped);
-        stepped.clear();
-        let wake = if self.sched.mode() == SchedMode::Event {
-            self.merge_wakes(|c| {
-                let wake = self.clusters[c].next_wake();
-                stepped.push((c, self.sched.local_quiet(self.cycles, wake)));
-                wake
-            })
-        } else {
-            stepped.extend(
-                (0..self.clusters.len())
-                    .filter(|&c| !self.cluster_finished(c))
-                    .map(|c| (c, false)),
-            );
-            Wake::EveryCycle
-        };
-        self.stepped = stepped;
+    /// planned cluster and returns [`Wake::EveryCycle`].
+    fn classify(&mut self) -> Wake {
+        if self.sched.mode() == SchedMode::Dense {
+            return Wake::EveryCycle;
+        }
+        let mut wake = self.l2_wake();
+        for i in 0..self.stepped.len() {
+            let c = self.stepped[i].0;
+            let cluster_wake = self.clusters[c].next_wake();
+            wake = wake.merge(cluster_wake);
+            self.stepped[i].1 = self.sched.local_quiet(self.cycles, cluster_wake);
+        }
         wake
     }
 
-    /// [`System::step`] after [`System::plan_cycle`] planned this cycle.
+    /// [`System::step`] after [`System::classify`] planned this cycle.
     fn step_planned(&mut self) -> Result<(), SystemError> {
         let tag = |cluster: usize| {
             move |source| SystemError::Cluster {
@@ -614,49 +580,50 @@ impl System {
         // cycle, bulk-advanced by one cycle while the dense subset
         // steps. A quiet cluster cannot emit an L2 beat or a prefetch
         // hint (its engine owes a countdown, its doorbells are silent),
-        // so the dense subset's arbitration is unchanged; its watchdog,
-        // samples and barrier census are handled below exactly where
-        // dense stepping would.
+        // so the dense subset's arbitration is unchanged; its samples
+        // and barrier census are handled below exactly where dense
+        // stepping would.
 
         // Half-cycle 1 on every densely stepped cluster, collecting the
         // L2-side beats — and the stride hints rung doorbells published
-        // (DMA_START), which reach the shared L2's prefetcher *before*
-        // this cycle's arbitration so prefetching can start while the
-        // engine still pays its startup latency.
+        // (DMA_START), which reach a prefetching L2 *before* this
+        // cycle's arbitration so prefetching can start while the engine
+        // still pays its startup latency. An L2 that does not prefetch
+        // ignores hints, so they lapse in the cluster.
         self.l2_reqs.clear();
-        self.l2_req_of.fill(None);
         for i in 0..self.stepped.len() {
             let (c, quiet) = self.stepped[i];
             if quiet {
                 continue;
             }
-            if let Some((addr, kind)) = self.clusters[c].begin_cycle().map_err(tag(c))? {
-                self.l2_req_of[c] = Some(self.l2_reqs.len());
+            let beat = self.clusters[c].begin_cycle().map_err(tag(c))?;
+            self.l2_req_of[c] = beat.map(|(addr, kind)| {
                 self.l2_reqs.push(L2Request {
                     cluster: c as u32,
                     addr,
                     kind,
                 });
-            }
+                self.l2_reqs.len() - 1
+            });
             if let Some((l2, _)) = self.shared.as_mut() {
-                for mut hint in self.clusters[c].take_prefetch_hints() {
-                    hint.requester = c as u32;
-                    l2.prefetch_hint(hint);
+                if l2.takes_prefetch_hints() {
+                    for mut hint in self.clusters[c].take_prefetch_hints() {
+                        hint.requester = c as u32;
+                        l2.prefetch_hint(hint);
+                    }
                 }
             }
         }
 
-        // One shared-L2 arbitration pass over all clusters' beats. With
-        // no shared memory attached, beats can only come from engines
-        // with a private Dram: those move against their own memory with
-        // nothing shared to arbitrate, so every beat proceeds (the empty
-        // grant vector below reads as all-granted).
-        match self.shared.as_mut() {
-            Some((l2, _)) => {
-                l2.begin_cycle();
+        // One shared-L2 arbitration pass over all clusters' beats (an
+        // empty batch leaves the arbiter untouched and reads no
+        // outcome). Without shared memory no cluster has an engine, so
+        // no beat exists to arbitrate.
+        if let Some((l2, _)) = self.shared.as_mut() {
+            l2.begin_cycle();
+            if !self.l2_reqs.is_empty() {
                 l2.arbitrate_into(&self.l2_reqs, &mut self.l2_outcomes);
             }
-            None => self.l2_outcomes.clear(),
         }
 
         // Half-cycle 2: each densely stepped cluster resumes with its
@@ -664,9 +631,20 @@ impl System {
         // TCDM crossbar and moves data against the shared store. A
         // quiet cluster bulk-advances one cycle instead, emitting the
         // sample rows its dense end-of-cycle would have (the loop runs
-        // in cluster index order, so rows interleave exactly as dense)
-        // and polling its watchdog at the same post-advance cycle a
-        // dense step observes.
+        // in cluster index order, so rows interleave exactly as dense).
+        //
+        // The same pass advances stages and reads the barrier census. A
+        // cluster whose cores just halted with another stage queued
+        // reloads first, so its harts count as active in the rendezvous
+        // below (counting them as halted would release a sibling's
+        // barrier without them). Neither a reload nor the census touches
+        // another cluster or the L2, so doing both right after the
+        // cluster's own half-cycle is exact. Clusters finished before
+        // this cycle hold no active hart, so the planned clusters'
+        // census is the whole system's.
+        let next_cycle = self.cycles + 1;
+        let (mut waiting, mut active) = (0, 0);
+        let mut finished = false;
         for i in 0..self.stepped.len() {
             let (c, quiet) = self.stepped[i];
             if quiet {
@@ -674,24 +652,27 @@ impl System {
                 if self.tracer.wants_sample(self.cycles) {
                     self.clusters[c].sample_now();
                 }
-                if let Some(report) = self.clusters[c].poll_watchdog() {
-                    return Err(SystemError::Cluster {
-                        cluster: c as u32,
-                        source: ClusterError::Hang(report),
-                    });
-                }
-                continue;
+            } else {
+                let outcome = self.l2_req_of[c].map_or(L2Outcome::Granted, |r| self.l2_outcomes[r]);
+                let dram = self.shared.as_mut().map(|(_, d)| d);
+                self.clusters[c].end_cycle(outcome, dram).map_err(tag(c))?;
             }
-            let outcome = match self.l2_req_of[c] {
-                Some(r) => self
-                    .l2_outcomes
-                    .get(r)
-                    .copied()
-                    .unwrap_or(L2Outcome::Granted),
-                None => L2Outcome::Granted,
-            };
-            let dram = self.shared.as_mut().map(|(_, d)| d);
-            self.clusters[c].end_cycle(outcome, dram).map_err(tag(c))?;
+            if self.clusters[c].is_done() {
+                if let Some(next) = self.stages[c].pop_front() {
+                    self.clusters[c].load_programs(next);
+                } else {
+                    self.cluster_done_at[c].get_or_insert(next_cycle);
+                    finished = true;
+                }
+            }
+            let (w, a) = self.clusters[c].system_barrier_census();
+            waiting += w;
+            active += a;
+        }
+        if finished {
+            let (clusters, stages) = (&self.clusters, &self.stages);
+            self.stepped
+                .retain(|&(c, _)| !(clusters[c].is_done() && stages[c].is_empty()));
         }
         if let Some((l2, _)) = self.shared.as_mut() {
             l2.end_cycle();
@@ -699,39 +680,21 @@ impl System {
         if self.tracer.wants_sample(self.cycles) {
             self.sample_l2_now();
         }
-        self.cycles += 1;
-
-        // Stage advance + completion bookkeeping — BEFORE the barrier
-        // census: a cluster whose cores just halted with another stage
-        // queued still has work, so reloading it first makes its harts
-        // count as active in the rendezvous below. (Counting them as
-        // halted would release a sibling's barrier without them.)
-        for i in 0..self.stepped.len() {
-            let (c, _) = self.stepped[i];
-            if self.clusters[c].is_done() {
-                if let Some(next) = self.stages[c].pop_front() {
-                    self.clusters[c].load_programs(next);
-                } else if self.cluster_done_at[c].is_none() {
-                    self.cluster_done_at[c] = Some(self.cycles);
-                }
-            }
-        }
+        self.cycles = next_cycle;
 
         // Inter-cluster barrier rendezvous: release once every active
         // hart of every cluster has arrived.
-        let (waiting, active) = self
-            .clusters
-            .iter()
-            .map(Cluster::system_barrier_census)
-            .fold((0, 0), |(w, a), (cw, ca)| (w + cw, a + ca));
         if waiting > 0 && waiting == active {
             for cluster in &mut self.clusters {
                 cluster.release_system_barrier();
             }
             self.system_barriers += 1;
         }
-        if let Some(report) = self.check_watchdog() {
-            return Err(SystemError::Hang(report));
+        // Disarmed, the per-cycle cost is this one branch.
+        if self.watchdog.is_some() {
+            if let Some(report) = self.check_watchdog() {
+                return Err(SystemError::Hang(report));
+            }
         }
         Ok(())
     }
@@ -739,51 +702,40 @@ impl System {
     /// The earliest future cycle at which stepping the system could do
     /// anything a skip cannot reproduce in closed form: the merge of
     /// every unfinished cluster's wake (finished clusters freeze, as in
-    /// dense stepping), the earliest armed cluster watchdog's firing
-    /// point ([`Cluster::watchdog_skip_cap`] — the run loop re-observes
-    /// there, reproducing the dense firing cycle), and the shared L2's
-    /// own wake — dense while it has runnable refill/write-back/
-    /// prefetch work, a future cycle while its only work is in-flight
-    /// channel countdowns ([`L2::next_wake`]). A subscribed tracer does
-    /// not pin dense stepping — [`System::skip_idle`] synthesizes the
-    /// sampled counter rows dense stepping would have emitted.
+    /// dense stepping) and the shared L2's own wake — dense while it has
+    /// runnable refill/write-back/prefetch work, a future cycle while
+    /// its only work is in-flight channel countdowns ([`L2::next_wake`]).
+    /// A subscribed tracer does not pin dense stepping —
+    /// [`System::skip_idle`] synthesizes the sampled counter rows dense
+    /// stepping would have emitted.
     #[must_use]
     pub fn next_wake(&self) -> Wake {
-        self.merge_wakes(|c| self.clusters[c].next_wake())
+        (0..self.clusters.len())
+            .filter(|&c| !self.cluster_finished(c))
+            .map(|c| self.clusters[c].next_wake())
+            .fold(self.l2_wake(), Wake::merge)
     }
 
-    /// [`System::next_wake`] over the cluster wakes `cluster_wake`
-    /// reports, called once per unfinished cluster.
-    fn merge_wakes(&self, mut cluster_wake: impl FnMut(usize) -> Wake) -> Wake {
-        let mut wake = Wake::Idle;
-        for c in 0..self.clusters.len() {
-            if self.cluster_finished(c) {
-                continue;
-            }
-            if let Some(cap) = self.clusters[c].watchdog_skip_cap() {
-                wake = wake.merge(Wake::At(cap));
-            }
-            wake = wake.merge(cluster_wake(c));
+    /// The shared L2's wake on the system clock ([`Wake::Idle`] without
+    /// one).
+    fn l2_wake(&self) -> Wake {
+        match self.shared.as_ref().map(|(l2, _)| l2.next_wake()) {
+            Some(CacheWake::EveryCycle) => Wake::EveryCycle,
+            Some(CacheWake::In(n)) => Wake::At(self.cycles + n),
+            Some(CacheWake::Quiescent) | None => Wake::Idle,
         }
-        if let Some((l2, _)) = self.shared.as_ref() {
-            wake = wake.merge(match l2.next_wake() {
-                CacheWake::EveryCycle => Wake::EveryCycle,
-                CacheWake::In(n) => Wake::At(self.cycles + n),
-                CacheWake::Quiescent => Wake::Idle,
-            });
-        }
-        wake
     }
 
     /// Bulk-applies `cycles` idle cycles: every unfinished cluster
     /// skips ([`Cluster::skip_quiet`]) and the system clock advances;
-    /// finished clusters stay frozen and a quiescent L2 has nothing to
-    /// advance. When a tracer with a sampling cadence is subscribed,
-    /// the window is split at each cadence point it owes
-    /// ([`Tracer::owed_samples`]) and the carry-forward sample rows dense
-    /// stepping would have emitted there are synthesized in dense order
-    /// (unfinished clusters in index order, then the shared L2). Callers
-    /// must only skip up to the window [`System::next_wake`] allows.
+    /// finished clusters stay frozen and the shared L2's in-flight
+    /// countdowns advance in closed form. When a tracer with a sampling
+    /// cadence is subscribed, the window is split at each cadence point
+    /// it owes ([`Tracer::owed_samples`]) and the carry-forward sample
+    /// rows dense stepping would have emitted there are synthesized in
+    /// dense order (unfinished clusters in index order, then the shared
+    /// L2). Callers must only skip up to the window
+    /// [`System::next_wake`] allows.
     pub fn skip_idle(&mut self, cycles: u64) {
         let end = self.cycles + cycles;
         for point in self.tracer.owed_samples(self.cycles, cycles) {
@@ -848,40 +800,24 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Cluster errors (tagged) or budget exhaustion — the latter also
-    /// covers inter-cluster barrier deadlocks.
+    /// Per-cycle cluster faults (tagged with cluster and hart), a hang,
+    /// or budget exhaustion — the latter also covers barrier deadlocks.
     pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SystemError> {
-        while !self.is_done() {
-            // The plan also classifies the clusters for the dense step
-            // that follows when nothing can be skipped (dense mode never
-            // skips).
-            let wake = self.plan_cycle();
-            let caps = self
+        self.replan();
+        // The plan lists the unfinished clusters (none: done); each
+        // cycle classifies them for the dense step that follows when
+        // nothing can be skipped (dense mode never skips).
+        while !self.stepped.is_empty() {
+            let wake = self.classify();
+            let cap = self
                 .watchdog
                 .as_ref()
-                .map(|w| w.skip_cap(self.cycles))
-                .into_iter()
-                .chain(std::iter::once(max_cycles));
-            let skip = self.sched.plan(self.cycles, wake, caps);
+                .map_or(max_cycles, |w| w.skip_cap(self.cycles).min(max_cycles));
+            let skip = self.sched.plan(self.cycles, wake, [cap]);
             if skip > 0 {
                 self.skip_idle(skip);
                 if let Some(report) = self.check_watchdog() {
                     return Err(SystemError::Hang(report));
-                }
-                // Cluster-local watchdogs owe one observation per
-                // window ([`Cluster::poll_watchdog`]); the window was
-                // capped at the earliest firing point
-                // ([`System::next_wake`]), so this reproduces the dense
-                // loop's per-cycle cadence exactly.
-                for c in 0..self.clusters.len() {
-                    if !self.cluster_finished(c) {
-                        if let Some(report) = self.clusters[c].poll_watchdog() {
-                            return Err(SystemError::Cluster {
-                                cluster: c as u32,
-                                source: ClusterError::Hang(report),
-                            });
-                        }
-                    }
                 }
                 continue;
             }
@@ -1009,8 +945,10 @@ impl SystemBuilder {
 
     /// Refuses to build a system when the static verifier (`sc-lint`)
     /// diagnoses any cluster's program set — the loaded stage *or* any
-    /// queued tile stage — with error-severity findings. Warning-tier
-    /// findings still build; they stay visible through each cluster's
+    /// queued tile stage — with error-severity findings (FIFO wedges,
+    /// divergent barrier sequences, DMA races, over-cap footprints).
+    /// Warning-tier findings (e.g. bursts that rely on the issue-stage
+    /// drain) still build; they stay visible through each cluster's
     /// [`Cluster::lint_report`] and in hang diagnoses.
     #[must_use]
     pub fn lint_strict(mut self) -> Self {
@@ -1057,11 +995,10 @@ impl SystemBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on invalid configuration: a stage list count that does
-    /// not match the cluster count, an empty stage list, a program
-    /// count that does not match the core count, a zero watchdog
-    /// limit, or — with [`SystemBuilder::lint_strict`] — programs the
-    /// static verifier diagnoses with errors.
+    /// Panics on every [`SystemBuilder::try_build`] error, and on
+    /// invalid structure: a stage list count that does not match the
+    /// cluster count, an empty stage list, a program count that does not
+    /// match the core count, or a zero watchdog limit.
     #[must_use]
     pub fn build(self) -> System {
         match self.try_build() {
@@ -1071,42 +1008,83 @@ impl SystemBuilder {
     }
 
     /// Builds the system like [`SystemBuilder::build`], but returns an
-    /// error instead of panicking when [`SystemBuilder::lint_strict`]
-    /// was requested and the verifier found errors.
+    /// error for a configuration the model cannot build or, with
+    /// [`SystemBuilder::lint_strict`], programs the static verifier
+    /// refuses.
     ///
     /// # Errors
     ///
-    /// [`SystemError::Cluster`] wrapping [`ClusterError::Lint`] with
-    /// the full report for the first refused cluster.
+    /// [`SystemError::Config`] naming the first invalid core
+    /// configuration field ([`sc_core::CoreConfig::validate`]), or
+    /// [`SystemError::Lint`] with the full report for the first refused
+    /// cluster.
     ///
     /// # Panics
     ///
     /// Same structural panics as [`SystemBuilder::build`] (stage/core
     /// count mismatches, zero watchdog limit).
     pub fn try_build(self) -> Result<System, SystemError> {
-        let lint_strict = self.lint_strict;
-        let mut system = System::assemble(self.cfg, self.stages, self.dram.is_some());
-        if lint_strict {
-            let lint_cfg = lint_config(&system.cfg.cluster);
-            for (c, cluster) in system.clusters.iter().enumerate() {
+        let cfg = self.cfg;
+        cfg.cluster.core.validate().map_err(SystemError::Config)?;
+        assert_eq!(
+            self.stages.len(),
+            cfg.num_clusters as usize,
+            "one stage list per cluster"
+        );
+        let timing = cfg.l2.engine_timing();
+        let mut clusters = Vec::with_capacity(self.stages.len());
+        let mut queues = Vec::with_capacity(self.stages.len());
+        for (c, cluster_stages) in self.stages.into_iter().enumerate() {
+            let mut q: VecDeque<Vec<Program>> = cluster_stages.into();
+            let first = q.pop_front().expect("every cluster has at least one stage");
+            let mut builder =
+                ClusterBuilder::new(cfg.cluster, first).embedded(c as u32, cfg.num_clusters);
+            if self.dram.is_some() {
+                builder = builder.shared_dma(timing);
+            }
+            clusters.push(builder.build());
+            queues.push(q);
+        }
+        if self.lint_strict {
+            let lint_cfg = lint_config(&cfg.cluster);
+            for (c, (cluster, queued)) in clusters.iter().zip(&queues).enumerate() {
                 // The loaded stage was linted by the cluster itself;
                 // queued tile stages are linted with the same
                 // hardware-derived model before they ever load.
                 let mut report = cluster.lint_report().clone();
-                for programs in &system.stages[c] {
+                for programs in queued {
                     report.merge(lint_harts(programs, &lint_cfg));
                 }
                 if report.has_errors() {
-                    return Err(SystemError::Cluster {
+                    return Err(SystemError::Lint {
                         cluster: c as u32,
-                        source: ClusterError::Lint(report),
+                        report,
                     });
                 }
             }
         }
-        if let Some(dram) = self.dram {
-            system.install_shared(dram);
-        }
+        let n = clusters.len();
+        let mut system = System {
+            cfg,
+            clusters,
+            stages: queues,
+            shared: self
+                .dram
+                .map(|dram| (L2::new(cfg.l2, cfg.num_clusters), dram)),
+            cycles: 0,
+            cluster_done_at: vec![None; n],
+            system_barriers: 0,
+            l2_reqs: Vec::new(),
+            l2_outcomes: Vec::new(),
+            l2_req_of: vec![None; n],
+            stepped: Vec::with_capacity(n),
+            tracer: Tracer::off(),
+            watchdog: None,
+            hang_attr_base: vec![Vec::new(); n],
+            hang_attr_sig: 0,
+            hang_attr_primed: false,
+            sched: Scheduler::default(),
+        };
         if let Some(tracer) = self.tracer {
             system.set_tracer(tracer);
         }

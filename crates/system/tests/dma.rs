@@ -1,4 +1,5 @@
-//! Cluster ↔ DMA integration pins:
+//! Cluster ↔ DMA integration pins, each cluster run as the 1-cluster
+//! system behind a pass-through L2:
 //!
 //! * a program rings the `DMA_START` doorbell, polls `DMA_COMPLETED`,
 //!   and reads DMA-delivered data from the TCDM,
@@ -8,7 +9,10 @@
 //! * an attached-but-idle engine leaves the cluster bit-identical to
 //!   one without an engine.
 
-use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig};
+mod common;
+
+use common::{cluster, dma_cluster};
+use sc_cluster::ClusterConfig;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, ProgramBuilder};
 use sc_mem::{Dram, DramConfig, TcdmConfig};
@@ -62,11 +66,11 @@ fn doorbell_transfer_poll_read() {
         dram.write_u64(0x10_0000 + 8 * i, u64::from(0xC0DE + i))
             .unwrap();
     }
-    let mut cluster = ClusterBuilder::new(ClusterConfig::new(1).with_core(cfg()), vec![program])
-        .dma(dram)
-        .build();
+    let mut system =
+        dma_cluster(ClusterConfig::new(1).with_core(cfg()), vec![program], dram).build();
 
-    let summary = cluster.run(100_000).unwrap();
+    let summary = system.run(100_000).unwrap().per_cluster.remove(0);
+    let cluster = system.cluster(0);
     assert_eq!(cluster.core(0).int_reg(IntReg::new(10)), 0xC0DE);
     for i in 0..4u32 {
         assert_eq!(
@@ -75,7 +79,7 @@ fn doorbell_transfer_poll_read() {
             "inbound transfer word {i}"
         );
         assert_eq!(
-            cluster.dram().unwrap().read_u64(0x20_0000 + 8 * i).unwrap(),
+            system.dram().unwrap().read_u64(0x20_0000 + 8 * i).unwrap(),
             u64::from(0xC0DE + i),
             "outbound transfer word {i}"
         );
@@ -98,13 +102,13 @@ fn invalid_descriptor_is_a_hart_tagged_error() {
     // Misaligned length: 12 bytes.
     ring_doorbell(&mut b, 0x1000, 0x100, 12, true);
     b.ecall();
-    let mut cluster = ClusterBuilder::new(
+    let mut system = dma_cluster(
         ClusterConfig::new(1).with_core(cfg()),
         vec![b.build().unwrap()],
+        Dram::new(DramConfig::new()),
     )
-    .dma(Dram::new(DramConfig::new()))
     .build();
-    let err = cluster.run(10_000).unwrap_err();
+    let err = system.run(10_000).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("hart 0") && msg.contains("row_bytes"),
@@ -132,13 +136,11 @@ fn idle_engine_is_cycle_invisible() {
             .collect::<Vec<_>>()
     };
     let ccfg = ClusterConfig::new(2).with_core(cfg());
-    let mut plain = Cluster::new(ccfg, programs());
-    let mut with_dma = ClusterBuilder::new(ccfg, programs())
-        .dma(Dram::new(DramConfig::new()))
-        .build();
+    let mut plain = cluster(ccfg, programs()).build();
+    let mut with_dma = dma_cluster(ccfg, programs(), Dram::new(DramConfig::new())).build();
 
-    let a = plain.run(10_000).unwrap();
-    let b = with_dma.run(10_000).unwrap();
+    let a = plain.run(10_000).unwrap().per_cluster.remove(0);
+    let b = with_dma.run(10_000).unwrap().per_cluster.remove(0);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.aggregate, b.aggregate);
     assert_eq!(a.core_conflicts, b.core_conflicts);
@@ -153,21 +155,24 @@ fn load_programs_restarts_halted_cores_with_state_kept() {
     let mut first = ProgramBuilder::new();
     first.li(IntReg::new(10), 41);
     first.ecall();
-    let mut cluster = Cluster::new(
+    let mut system = cluster(
         ClusterConfig::new(1).with_core(cfg()),
         vec![first.build().unwrap()],
-    );
-    cluster.run(1_000).unwrap();
-    let cycles_after_first = cluster.cycles();
+    )
+    .build();
+    system.run(1_000).unwrap();
+    let cycles_after_first = system.cluster(0).cycles();
 
     // The second program sees the register the first one wrote.
     let mut second = ProgramBuilder::new();
     second.addi(IntReg::new(10), IntReg::new(10), 1);
     second.ecall();
-    cluster.load_programs(vec![second.build().unwrap()]);
-    assert!(!cluster.is_done());
-    let summary = cluster.run(2_000).unwrap();
-    assert_eq!(cluster.core(0).int_reg(IntReg::new(10)), 42);
+    system
+        .cluster_mut(0)
+        .load_programs(vec![second.build().unwrap()]);
+    assert!(!system.is_done());
+    let summary = system.run(2_000).unwrap();
+    assert_eq!(system.cluster(0).core(0).int_reg(IntReg::new(10)), 42);
     assert!(summary.cycles > cycles_after_first, "cycles accumulate");
 }
 
@@ -187,14 +192,14 @@ fn tracing_harts_parked_on_dma_wait_step_densely_in_event_mode() {
         b.build().unwrap()
     };
     let run = |mode: SchedMode| {
-        let mut cluster = ClusterBuilder::new(
+        let mut system = dma_cluster(
             ClusterConfig::new(2).with_core(cfg().with_trace(true)),
             vec![program(true), program(false)],
+            Dram::new(DramConfig::new().with_latency(500)),
         )
-        .dma(Dram::new(DramConfig::new().with_latency(500)))
         .sched_mode(mode)
         .build();
-        cluster.run(100_000).unwrap()
+        system.run(100_000).unwrap().per_cluster.remove(0)
     };
     let (dense, event) = (run(SchedMode::Dense), run(SchedMode::Event));
     assert!(

@@ -1,8 +1,8 @@
 //! System correctness pins:
 //!
-//! * a 1-cluster system behind a **pass-through L2** must match a
-//!   stand-alone `Cluster` cycle-for-cycle (and counter-for-counter),
-//!   DMA traffic included,
+//! * a 1-cluster system behind a **pass-through L2** must match the
+//!   bare lock-step phase protocol of its cluster cycle-for-cycle (and
+//!   counter-for-counter), DMA traffic included,
 //! * multi-cluster DMA traffic genuinely contends at the shared L2
 //!   (conflicts appear when banks shrink, refills serialise),
 //! * the inter-cluster barrier rendezvouses every hart of every
@@ -11,7 +11,7 @@
 use sc_cluster::{ClusterBuilder, ClusterConfig};
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, IntReg, Program, ProgramBuilder};
-use sc_mem::{Dram, DramConfig, L2Config};
+use sc_mem::{Dram, DramConfig, L2Config, L2Outcome};
 use sc_system::{System, SystemBuilder, SystemConfig, SystemError};
 
 /// A program that rings the DMA doorbell for a `bytes`-byte fetch from
@@ -49,10 +49,10 @@ fn idle_program() -> Program {
 
 #[test]
 fn one_cluster_passthrough_system_is_cycle_identical_to_cluster() {
-    // The tentpole invariant: System{clusters: 1} over a pass-through
-    // L2 performs exactly the same cycle sequence as PR 2's Cluster
-    // with a private Dram — DMA latency, beat timing and TCDM
-    // arbitration included.
+    // System{clusters: 1} over a pass-through L2 performs exactly the
+    // bare phase protocol of its cluster — begin_cycle, every beat
+    // granted, end_cycle against the background memory — DMA latency,
+    // beat timing and TCDM arbitration included.
     let dram_cfg = DramConfig::new().with_latency(16);
     let programs = vec![dma_fetch_program(0x1000, 0x200, 64, 1), idle_program()];
 
@@ -67,9 +67,20 @@ fn one_cluster_passthrough_system_is_cycle_identical_to_cluster() {
     let mut dram = Dram::new(dram_cfg);
     stage(&mut dram);
     let mut cluster = ClusterBuilder::new(ccfg, programs.clone())
-        .dma(dram)
+        .embedded(0, 1)
+        .shared_dma(dram_cfg)
         .build();
-    let cluster_summary = cluster.run(100_000).unwrap();
+    while !cluster.is_done() {
+        assert!(
+            cluster.cycles() < 100_000,
+            "bare protocol exceeded its budget"
+        );
+        cluster.begin_cycle().unwrap();
+        cluster
+            .end_cycle(L2Outcome::Granted, Some(&mut dram))
+            .unwrap();
+    }
+    let cluster_summary = cluster.summary();
 
     let scfg = SystemConfig::new(1, 2).with_l2(L2Config::passthrough(dram_cfg));
     let mut dram = Dram::new(dram_cfg);
@@ -83,12 +94,7 @@ fn one_cluster_passthrough_system_is_cycle_identical_to_cluster() {
         cluster_summary.cycles, system_summary.cycles,
         "pass-through system must be cycle-identical to the cluster"
     );
-    let sys_cluster = &system_summary.per_cluster[0];
-    for (a, b) in cluster_summary.per_core.iter().zip(&sys_cluster.per_core) {
-        assert_eq!(a.counters, b.counters);
-    }
-    assert_eq!(cluster_summary.dma, sys_cluster.dma);
-    assert_eq!(cluster_summary.core_conflicts, sys_cluster.core_conflicts);
+    assert_eq!(cluster_summary, system_summary.per_cluster[0]);
     for i in 0..8u32 {
         assert_eq!(
             system.cluster(0).tcdm().read_u64(0x200 + 8 * i).unwrap(),
@@ -269,10 +275,11 @@ fn system_barrier_rendezvous_and_deadlock() {
     // A hart that halts without arriving leaves the rendezvous (same
     // convention as the cluster barrier): the remaining harts release.
     let scfg = SystemConfig::new(2, 1);
-    let mut system = System::new(
+    let mut system = SystemBuilder::new(
         scfg,
         vec![vec![vec![waiter.clone()]], vec![vec![idle_program()]]],
-    );
+    )
+    .build();
     let summary = system.run(1_000).unwrap();
     assert_eq!(summary.system_barriers, 1);
 
@@ -284,10 +291,11 @@ fn system_barrier_rendezvous_and_deadlock() {
         b.j("spin");
         b.build().unwrap()
     };
-    let mut system = System::new(
+    let mut system = SystemBuilder::new(
         SystemConfig::new(2, 1),
         vec![vec![vec![waiter]], vec![vec![spinner]]],
-    );
+    )
+    .build();
     let err = system.run(1_000).unwrap_err();
     assert!(matches!(err, SystemError::MaxCyclesExceeded { .. }));
 }
@@ -321,7 +329,7 @@ fn barrier_waits_for_a_cluster_between_stages() {
         vec![vec![barrier_then_halt.clone()]],
         vec![vec![busy_work], vec![barrier_then_halt]],
     ];
-    let mut system = System::new(SystemConfig::new(2, 1), stages);
+    let mut system = SystemBuilder::new(SystemConfig::new(2, 1), stages).build();
     let summary = system.run(10_000).unwrap();
     assert_eq!(
         summary.system_barriers, 1,
@@ -354,7 +362,7 @@ fn stages_advance_independently_per_cluster() {
         ],
         vec![vec![idle_program()]],
     ];
-    let mut system = System::new(scfg, stages);
+    let mut system = SystemBuilder::new(scfg, stages).build();
     let summary = system.run(1_000).unwrap();
     assert!(summary.cluster_done_at[0] >= summary.cluster_done_at[1]);
     assert_eq!(summary.system_barriers, 0);
@@ -373,13 +381,10 @@ fn lint_strict_refuses_a_bad_queued_stage() {
         .lint_strict()
         .try_build()
         .expect_err("strict verification must refuse the queued overflow");
-    let SystemError::Cluster { cluster, source } = err else {
+    let SystemError::Lint { cluster, report } = err else {
         panic!("expected a cluster-tagged lint refusal, got: {err}");
     };
     assert_eq!(cluster, 0);
-    let sc_cluster::ClusterError::Lint(report) = source else {
-        panic!("expected ClusterError::Lint, got: {source}");
-    };
     assert!(report.has_errors(), "{report}");
 
     // The same system with clean stages builds fine under strict mode.
@@ -414,9 +419,40 @@ fn embedded_clusters_take_the_system_sched_mode() {
     assert_eq!(system.sched_mode(), SchedMode::Dense);
     assert!(agree(&system), "event -> dense");
 
-    let mut system = System::new(SystemConfig::new(3, 2), stages());
+    let mut system = SystemBuilder::new(SystemConfig::new(3, 2), stages()).build();
     assert!(agree(&system), "default mode");
     system.set_sched_mode(SchedMode::Event);
     assert_eq!(system.sched_mode(), SchedMode::Event);
     assert!(agree(&system), "dense -> event");
+}
+
+#[test]
+fn zero_sized_core_config_fields_are_build_errors() {
+    // Unchecked, each of these panics deep inside the model: a zero
+    // FIFO capacity or pipeline depth while building, a zero bank count
+    // or bank width on the first TCDM access. The builder names the
+    // field before building anything.
+    type Mutation = fn(&mut CoreConfig);
+    let mutations: [(&str, Mutation); 5] = [
+        ("ssr_fifo_capacity", |c| c.ssr_fifo_capacity = 0),
+        ("offload_queue_depth", |c| c.offload_queue_depth = 0),
+        ("fpu.addmul_latency", |c| c.fpu.addmul_latency = 0),
+        ("tcdm.banks", |c| c.tcdm.banks = 0),
+        ("tcdm.bank_width", |c| c.tcdm.bank_width = 0),
+    ];
+    for (field, mutate) in mutations {
+        let mut core = CoreConfig::new();
+        mutate(&mut core);
+        let scfg = SystemConfig::new(1, 2).with_cluster(ClusterConfig::new(2).with_core(core));
+        let err = SystemBuilder::new(scfg, vec![vec![vec![idle_program(), idle_program()]]])
+            .try_build()
+            .expect_err("a zero-sized field must not build");
+        assert_eq!(
+            err,
+            SystemError::Config(sc_core::ConfigError { field }),
+            "{field}"
+        );
+        assert!(err.to_string().contains(field), "{err}");
+    }
+    assert_eq!(CoreConfig::new().validate(), Ok(()));
 }

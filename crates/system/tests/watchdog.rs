@@ -6,15 +6,29 @@
 //! that register stalls on the packed unit — a circular wait the
 //! issue-stage drain (`CoreConfig::chained_fifo_shift`, the synchronous
 //! FIFO shift) resolves. With the drain disabled the same program wedges
-//! silently; the watchdog must convert that into a [`ClusterError::Hang`]
+//! silently; the watchdog must convert that into a [`SystemError::Hang`]
 //! whose report names the held chained-FIFO writeback as the blocked
 //! resource, instead of a bare max-cycles timeout.
+//!
+//! The fixtures run as 1-cluster systems under the system's one
+//! watchdog. The firing cycle and stuck-for span are pinned as literals
+//! in both scheduling modes: a skipped window must neither delay nor
+//! advance the firing point.
 
-use sc_cluster::{Cluster, ClusterBuilder, ClusterConfig, ClusterError};
+mod common;
+
+use common::{cluster, dma_cluster};
+use sc_cluster::ClusterConfig;
 use sc_core::{CoreConfig, SchedMode};
 use sc_isa::{csr, FpReg, IntReg, Program, ProgramBuilder};
 use sc_mem::{Dram, DramConfig, TcdmConfig};
+use sc_system::{System, SystemError};
 use sc_trace::HangReport;
+
+/// Where the watchdog fires on the drain-less burst wedge (limit 5,000).
+const BURST_WEDGE_FIRES: (u64, u64) = (5_012, 5_000);
+/// Where the watchdog fires on a hart parked forever (limit 1,000).
+const PARKED_FOREVER_FIRES: (u64, u64) = (1_001, 1_000);
 
 fn t(i: u8) -> IntReg {
     IntReg::new(i)
@@ -61,37 +75,57 @@ fn chained_burst_program(reps: u32) -> Program {
     b.build().unwrap()
 }
 
-fn run_burst(core_cfg: CoreConfig, watchdog: Option<u64>) -> (Cluster, Result<(), ClusterError>) {
-    let mut cluster = Cluster::new(
+/// The burst fixture on a 1-cluster system, with the watchdog armed at
+/// `watchdog` when given, in `mode`.
+fn run_burst(
+    core_cfg: CoreConfig,
+    watchdog: Option<u64>,
+    mode: SchedMode,
+) -> (System, Result<(), SystemError>) {
+    let mut builder = cluster(
         ClusterConfig::new(1).with_core(core_cfg),
         vec![chained_burst_program(16)],
-    );
+    )
+    .sched_mode(mode);
     if let Some(limit) = watchdog {
-        cluster.set_watchdog(limit);
+        builder = builder.watchdog(limit);
     }
-    cluster.tcdm_mut().write_f64(0x400, 2.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x408, 3.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x410, 10.0).unwrap();
-    let outcome = cluster.run(200_000).map(|_| ());
-    (cluster, outcome)
+    let mut system = builder.build();
+    let tcdm = system.cluster_mut(0).tcdm_mut();
+    tcdm.write_f64(0x400, 2.0).unwrap();
+    tcdm.write_f64(0x408, 3.0).unwrap();
+    tcdm.write_f64(0x410, 10.0).unwrap();
+    let outcome = system.run(200_000).map(|_| ());
+    (system, outcome)
+}
+
+fn expect_hang(outcome: Result<(), SystemError>) -> HangReport {
+    match outcome.expect_err("the fixture must wedge") {
+        SystemError::Hang(report) => report,
+        err => panic!("expected the watchdog to fire, got: {err}"),
+    }
 }
 
 #[test]
 fn burst_program_completes_with_the_fifo_shift() {
-    let (cluster, outcome) = run_burst(cfg(), Some(5_000));
-    outcome.expect("the drain resolves the jam; the watchdog stays quiet");
-    // (2 + 3) * 10, from the last iteration's final multiply.
-    assert_eq!(cluster.tcdm().read_f64(0x420).unwrap(), 50.0);
+    for mode in [SchedMode::Dense, SchedMode::Event] {
+        let (system, outcome) = run_burst(cfg(), Some(5_000), mode);
+        outcome.expect("the drain resolves the jam; the watchdog stays quiet");
+        // (2 + 3) * 10, from the last iteration's final multiply.
+        assert_eq!(system.cluster(0).tcdm().read_f64(0x420).unwrap(), 50.0);
+        assert_eq!(system.cycles(), 174, "{mode:?}");
+    }
 }
 
 #[test]
 fn watchdog_names_the_wedged_chained_fifo() {
     // Same program, drain disabled: silent wedge -> named diagnosis.
-    let (_, outcome) = run_burst(cfg().with_chained_fifo_shift(false), Some(5_000));
-    let err = outcome.expect_err("the writeback jam must wedge without the drain");
-    let ClusterError::Hang(report) = err else {
-        panic!("expected the watchdog to fire, got: {err}");
-    };
+    let (_, outcome) = run_burst(
+        cfg().with_chained_fifo_shift(false),
+        Some(5_000),
+        SchedMode::Dense,
+    );
+    let report = expect_hang(outcome);
     assert!(
         report.mentions("chained"),
         "report must name the held chained-FIFO writeback:\n{report}"
@@ -111,32 +145,6 @@ fn watchdog_names_the_wedged_chained_fifo() {
     assert!(rendered.contains("BLOCKED"), "{rendered}");
 }
 
-/// The wedge fixture under an explicit scheduling mode, via the builder.
-fn run_burst_scheduled(
-    core_cfg: CoreConfig,
-    watchdog: u64,
-    mode: SchedMode,
-) -> Result<(), ClusterError> {
-    let mut cluster = ClusterBuilder::new(
-        ClusterConfig::new(1).with_core(core_cfg),
-        vec![chained_burst_program(16)],
-    )
-    .watchdog(watchdog)
-    .sched_mode(mode)
-    .build();
-    cluster.tcdm_mut().write_f64(0x400, 2.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x408, 3.0).unwrap();
-    cluster.tcdm_mut().write_f64(0x410, 10.0).unwrap();
-    cluster.run(200_000).map(|_| ())
-}
-
-fn expect_hang(outcome: Result<(), ClusterError>) -> HangReport {
-    match outcome.expect_err("the writeback jam must wedge without the drain") {
-        ClusterError::Hang(report) => report,
-        err => panic!("expected the watchdog to fire, got: {err}"),
-    }
-}
-
 #[test]
 fn event_mode_fires_the_watchdog_at_the_dense_cycle() {
     // The event scheduler may only skip windows the watchdog would have
@@ -144,21 +152,15 @@ fn event_mode_fires_the_watchdog_at_the_dense_cycle() {
     // *not* parked — the jam is an FPU-structural stall, so every core
     // still reports an every-cycle wake) the report must be
     // bit-identical to the dense one.
-    let dense = expect_hang(run_burst_scheduled(
-        cfg().with_chained_fifo_shift(false),
-        5_000,
-        SchedMode::Dense,
-    ));
-    let event = expect_hang(run_burst_scheduled(
-        cfg().with_chained_fifo_shift(false),
-        5_000,
-        SchedMode::Event,
-    ));
-    assert_eq!(
-        dense.cycle, event.cycle,
-        "watchdog must fire at the same cycle"
-    );
-    assert_eq!(dense.stuck_for, event.stuck_for);
+    for mode in [SchedMode::Dense, SchedMode::Event] {
+        let (_, outcome) = run_burst(cfg().with_chained_fifo_shift(false), Some(5_000), mode);
+        let report = expect_hang(outcome);
+        assert_eq!(
+            (report.cycle, report.stuck_for),
+            BURST_WEDGE_FIRES,
+            "{mode:?}: the watchdog must fire at the dense cycle"
+        );
+    }
 }
 
 #[test]
@@ -176,30 +178,36 @@ fn skipped_idle_windows_count_toward_the_watchdog_span() {
         b.ecall();
         vec![b.build().unwrap()]
     };
-    let run = |mode: SchedMode| {
-        let mut cluster =
-            ClusterBuilder::new(ClusterConfig::new(1).with_core(cfg()), parked_forever())
-                .dma(Dram::new(DramConfig::new()))
-                .watchdog(1_000)
-                .sched_mode(mode)
-                .build();
-        expect_hang(cluster.run(200_000).map(|_| ()))
-    };
-    let dense = run(SchedMode::Dense);
-    let event = run(SchedMode::Event);
-    assert_eq!(dense.cycle, event.cycle, "same firing cycle across modes");
-    assert_eq!(dense.stuck_for, event.stuck_for);
-    assert!(dense.stuck_for >= 1_000);
+    for mode in [SchedMode::Dense, SchedMode::Event] {
+        let mut system = dma_cluster(
+            ClusterConfig::new(1).with_core(cfg()),
+            parked_forever(),
+            Dram::new(DramConfig::new()),
+        )
+        .watchdog(1_000)
+        .sched_mode(mode)
+        .build();
+        let report = expect_hang(system.run(200_000).map(|_| ()));
+        assert_eq!(
+            (report.cycle, report.stuck_for),
+            PARKED_FOREVER_FIRES,
+            "{mode:?}: same firing cycle and span as dense stepping"
+        );
+    }
 }
 
 #[test]
 fn without_a_watchdog_the_wedge_only_times_out() {
     // The pre-watchdog behaviour the fixture documents: the same hang
     // burns the whole cycle budget and reports nothing useful.
-    let (_, outcome) = run_burst(cfg().with_chained_fifo_shift(false), None);
-    let err = outcome.expect_err("still wedged");
-    assert!(
-        !matches!(err, ClusterError::Hang(_)),
-        "no watchdog was armed, got: {err}"
-    );
+    for mode in [SchedMode::Dense, SchedMode::Event] {
+        let (_, outcome) = run_burst(cfg().with_chained_fifo_shift(false), None, mode);
+        assert_eq!(
+            outcome.expect_err("still wedged"),
+            SystemError::MaxCyclesExceeded {
+                max_cycles: 200_000
+            },
+            "{mode:?}: no watchdog was armed"
+        );
+    }
 }

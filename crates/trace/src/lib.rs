@@ -228,19 +228,29 @@ impl Tracer {
 
     /// Advances the sink's cycle (owned by the outermost step loop —
     /// exactly one caller per simulated cycle).
+    /// The check stays inline in every caller's cycle loop; the locked
+    /// sink call does not.
     #[inline]
     pub fn set_cycle(&self, cycle: u64) {
         if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink poisoned").set_cycle(cycle);
+            Self::sink_set_cycle(sink, cycle);
         }
+    }
+
+    fn sink_set_cycle(sink: &Mutex<dyn TraceSink>, cycle: u64) {
+        sink.lock().expect("trace sink poisoned").set_cycle(cycle);
     }
 
     /// Emits one event (no-op when off).
     #[inline]
     pub fn emit(&self, event: TraceEvent<'_>) {
         if let Some(sink) = &self.sink {
-            sink.lock().expect("trace sink poisoned").record(event);
+            Self::sink_record(sink, event);
         }
+    }
+
+    fn sink_record(sink: &Mutex<dyn TraceSink>, event: TraceEvent<'_>) {
+        sink.lock().expect("trace sink poisoned").record(event);
     }
 
     /// Emits a [`TraceEvent::State`].

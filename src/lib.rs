@@ -65,7 +65,7 @@ pub use sc_trace as trace;
 pub mod prelude {
     pub use sc_cluster::{Cluster, ClusterConfig, ClusterError, ClusterSummary, DmaSummary};
     pub use sc_core::{
-        Core, CoreConfig, PerfCounters, RunSummary, SimError, Simulator, StallCause,
+        ConfigError, Core, CoreConfig, PerfCounters, RunSummary, SimError, Simulator, StallCause,
     };
     pub use sc_dma::{DmaEngine, DmaStats, Transfer};
     pub use sc_energy::{

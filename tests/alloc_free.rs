@@ -7,17 +7,19 @@
 //!
 //! * Every kernel of the paper's Fig. 3 suite steps from cycle 1,000 to
 //!   its halt through `Simulator::step` with zero allocations.
-//! * A 4-core tiled box3d1r cluster with DMA steps through its steady
-//!   state allocating at most once per DMA doorbell rung in the window,
-//!   in both scheduling modes.
+//! * A 4-core tiled box3d1r cluster with DMA — the 1-cluster system
+//!   behind a pass-through L2 — steps through its steady state via
+//!   `System::step` allocating at most once per DMA doorbell rung in the
+//!   window, in both scheduling modes: cluster phases, L2 arbitration,
+//!   hint forwarding and the cycle plan included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use scalar_chaining::benchkit::Fig3Experiment;
-use scalar_chaining::cluster::ClusterBuilder;
 use scalar_chaining::core_model::SchedMode;
 use scalar_chaining::prelude::*;
+use scalar_chaining::system::SystemBuilder;
 
 /// Counts allocation requests (allocations and reallocations) on the
 /// calling thread and forwards them to the system allocator.
@@ -118,40 +120,49 @@ fn tiled_dma_cluster_allocates_at_most_once_per_doorbell() {
     assert!(tiled.num_tiles() > 2, "the steady window spans tiles");
     for mode in [SchedMode::Dense, SchedMode::Event] {
         let core = CoreConfig::new().with_tcdm(tiled.tcdm_config());
+        let dram_cfg = DramConfig::new().with_latency(32);
+        let scfg = SystemConfig::new(1, 4)
+            .with_cluster(ClusterConfig::new(4).with_core(core))
+            .with_l2(L2Config::passthrough(dram_cfg));
         let mut stages = tiled.stages()[0].iter().cloned();
-        let mut cluster = ClusterBuilder::new(
-            ClusterConfig::new(4).with_core(core),
-            stages.next().unwrap(),
-        )
-        .dma(Dram::new(DramConfig::new().with_latency(32)))
-        .sched_mode(mode)
-        .build();
-        let doorbells = |c: &Cluster| c.dma_engine().unwrap().stats().transfers_enqueued;
+        let first = stages.next().unwrap();
+        let mut system = SystemBuilder::new(scfg, vec![vec![first]])
+            .dram(Dram::new(dram_cfg))
+            .sched_mode(mode)
+            .build();
+        let doorbells = |s: &scalar_chaining::system::System| {
+            s.cluster(0)
+                .dma_engine()
+                .unwrap()
+                .stats()
+                .transfers_enqueued
+        };
 
         let (mut made, mut rung) = (0, 0);
         loop {
-            if cluster.is_done() {
+            if system.is_done() {
                 // Reloading a stage is the software tile loop, not a
-                // cycle: its program clone is outside the window.
+                // cycle: its program clone and static verification stay
+                // outside the window.
                 match stages.next() {
-                    Some(next) => cluster.load_programs(next),
+                    Some(next) => system.cluster_mut(0).load_programs(next),
                     None => break,
                 }
             }
-            assert!(cluster.cycles() < MAX_CYCLES);
-            let steady = cluster.cycles() >= WARM_UP_CYCLES;
-            let (allocs_before, rung_before) = (allocs(), doorbells(&cluster));
-            cluster.step().unwrap();
+            assert!(system.cycles() < MAX_CYCLES);
+            let steady = system.cycles() >= WARM_UP_CYCLES;
+            let (allocs_before, rung_before) = (allocs(), doorbells(&system));
+            system.step().unwrap();
             if steady {
                 made += allocs() - allocs_before;
-                rung += doorbells(&cluster) - rung_before;
+                rung += doorbells(&system) - rung_before;
             }
         }
         assert!(rung > 0, "{mode:?}: the window must ring doorbells");
         assert!(
             made <= rung,
             "{mode:?}: {made} allocations for {rung} doorbells over {} cycles",
-            cluster.cycles() - WARM_UP_CYCLES
+            system.cycles() - WARM_UP_CYCLES
         );
     }
 }
